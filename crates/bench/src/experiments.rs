@@ -1598,6 +1598,86 @@ pub fn async_frontend(scale: f64) {
             }
         }
     }
+
+    // Part 3: the log bound. Committer-driven checkpoints keep each shard's
+    // log within about two checkpoint intervals, so recovery scans a bounded
+    // number of records however long the store ran; their cost lands on the
+    // committer between groups (`checkpoint_us_per_op`, and the longest
+    // single stall). Busy-wait paper latencies, as for ingest.
+    let ckpt_ops = scaled(400_000, scale, 50_000);
+    let every = rewind_shard::DEFAULT_CHECKPOINT_EVERY;
+    header(
+        "Async front-end: log bound under checkpoints \
+         (2 shards, window 256, busy-wait paper latencies)",
+        &[
+            "ops",
+            "checkpoint_every",
+            "checkpoints",
+            "ckpt_us_per_op",
+            "ckpt_max_us",
+            "log_records_max",
+            "recovery_scanned_max",
+        ],
+    );
+    let store = ShardedStore::create(
+        ShardConfig::new(2)
+            .shard_capacity(128 << 20)
+            .cost(CostModel::paper().with_emulation(true)),
+    )
+    .expect("create sharded store");
+    store.obs().set_enabled(true);
+    drive(&store, ckpt_ops, 256);
+    // Crash near the worst case for recovery: keep writing until a shard's
+    // log is within 10 % of its checkpoint trigger.
+    let log_max = || {
+        store
+            .per_shard_stats()
+            .iter()
+            .map(|s| s.log_records)
+            .max()
+            .unwrap_or(0)
+    };
+    let mut key = ckpt_ops;
+    for _ in 0..1000 {
+        if log_max() >= every * 9 / 10 {
+            break;
+        }
+        let window: Vec<Completion> = (0..64)
+            .map(|_| {
+                key += 1;
+                store.submit_put(key, value_from_seed(key))
+            })
+            .collect();
+        for c in window {
+            c.wait().expect("async put");
+        }
+    }
+    let log_max = log_max();
+    let ckpt = store.obs().metrics_snapshot().checkpoint_ns;
+    store.power_cycle();
+    store.recover().expect("recover after the checkpointed run");
+    let scanned_max = store
+        .per_shard_stats()
+        .iter()
+        .filter_map(|s| s.last_recovery.map(|r| r.scanned))
+        .max()
+        .unwrap_or(0);
+    let us_per_op = ckpt.sum as f64 / 1e3 / key as f64;
+    let max_us = ckpt.max as f64 / 1e3;
+    row(&[
+        key.to_string(),
+        every.to_string(),
+        ckpt.count.to_string(),
+        f(us_per_op),
+        f(max_us),
+        log_max.to_string(),
+        scanned_max.to_string(),
+    ]);
+    json.summary("checkpoints_taken", ckpt.count as f64);
+    json.summary("checkpoint_us_per_op", us_per_op);
+    json.summary("checkpoint_max_us", max_us);
+    json.summary("log_records_per_shard_max", log_max as f64);
+    json.summary("recovery_scanned_per_shard", scanned_max as f64);
     json.write_or_warn();
 }
 

@@ -190,7 +190,12 @@ impl NvmStats {
 
     #[inline]
     pub(crate) fn record_flush(&self) {
-        self.flushes.fetch_add(1, Ordering::Relaxed);
+        self.record_flushes(1);
+    }
+
+    #[inline]
+    pub(crate) fn record_flushes(&self, n: u64) {
+        self.flushes.fetch_add(n, Ordering::Relaxed);
     }
 
     #[inline]
@@ -200,7 +205,12 @@ impl NvmStats {
 
     #[inline]
     pub(crate) fn record_nvm_write(&self) {
-        self.nvm_writes.fetch_add(1, Ordering::Relaxed);
+        self.record_nvm_writes(1);
+    }
+
+    #[inline]
+    pub(crate) fn record_nvm_writes(&self, n: u64) {
+        self.nvm_writes.fetch_add(n, Ordering::Relaxed);
     }
 
     #[inline]

@@ -717,6 +717,11 @@ impl PoolBackend for FileBackend {
         // drained it first).
         let mut drained: Vec<u64> = Vec::new();
         for (w, word) in pending.iter().enumerate() {
+            // A clean word costs one load; only words with pending lines pay
+            // the read-modify-write.
+            if word.load(Ordering::Relaxed) == 0 {
+                continue;
+            }
             let mut bits = word.swap(0, Ordering::AcqRel);
             while bits != 0 {
                 let b = bits.trailing_zeros() as u64;

@@ -386,21 +386,49 @@ impl NvmPool {
         (addr.offset() as usize) / WORD
     }
 
+    /// Marks `line` dirty. Release-ordered after the store that dirtied
+    /// it, so a flush that clears the bit (acquire) before copying the line
+    /// either copies that store or sees the bit set again afterwards.
     #[inline]
     fn set_dirty(&self, line: u64) {
         let idx = (line / 64) as usize;
         let bit = 1u64 << (line % 64);
-        self.dirty[idx].fetch_or(bit, Ordering::Relaxed);
+        self.dirty[idx].fetch_or(bit, Ordering::Release);
     }
 
+    /// Clears `line`'s dirty bit and reports whether it was set. Flushes
+    /// clear the bit *before* copying the line, so a store that races the
+    /// flush leaves the line dirty rather than silently unflushed.
     #[inline]
-    fn clear_dirty(&self, line: u64) {
+    fn take_dirty(&self, line: u64) -> bool {
         let idx = (line / 64) as usize;
         let bit = 1u64 << (line % 64);
-        self.dirty[idx].fetch_and(!bit, Ordering::Relaxed);
+        self.dirty[idx].fetch_and(!bit, Ordering::AcqRel) & bit != 0
     }
 
-    #[inline]
+    /// Takes every set dirty bit and calls `f` for its line, in ascending
+    /// order. A line for which `f` returns `false` gets its bit back. Walks
+    /// the bitmap a word at a time and skips clean words with a single load,
+    /// so the cost follows the number of dirty lines (plus one load per 64
+    /// lines), not a per-line test over the whole pool. Each word's bits are
+    /// taken before its lines are visited (see [`NvmPool::take_dirty`]).
+    fn drain_dirty_lines(&self, mut f: impl FnMut(u64) -> bool) {
+        for (w, word) in self.dirty.iter().enumerate() {
+            if word.load(Ordering::Relaxed) == 0 {
+                continue;
+            }
+            let mut bits = word.swap(0, Ordering::AcqRel);
+            while bits != 0 {
+                let bit = bits & bits.wrapping_neg();
+                bits &= bits - 1;
+                if !f(w as u64 * 64 + bit.trailing_zeros() as u64) {
+                    word.fetch_or(bit, Ordering::Release);
+                }
+            }
+        }
+    }
+
+    #[cfg(test)]
     fn is_dirty(&self, line: u64) -> bool {
         let idx = (line / 64) as usize;
         let bit = 1u64 << (line % 64);
@@ -562,12 +590,8 @@ impl NvmPool {
         self.emulated_wait(self.cfg.cost.flush_latency_ns);
         let line = addr.cacheline();
         let interrupted = self.crash.on_persist_event();
-        if interrupted {
-            return;
-        }
-        if self.is_dirty(line) {
+        if !interrupted && self.take_dirty(line) {
             self.persist_line(line);
-            self.clear_dirty(line);
             self.charge_nvm_write(line);
         }
     }
@@ -620,13 +644,39 @@ impl NvmPool {
     /// Flushes **every** dirty cacheline in the pool and fences. Used by the
     /// no-force checkpoint ("cache-consistent checkpoint" in §4.6) and at
     /// clean shutdown.
+    ///
+    /// Each dirty line costs what a [`NvmPool::clflush`] of it costs (one
+    /// persist event, the same statistics and simulated time); under latency
+    /// emulation the lines' latencies are waited out in one go at the end,
+    /// so the emulation charges device time rather than per-line loop
+    /// overhead.
     pub fn flush_all(&self) {
-        let lines = self.capacity / CACHELINE;
-        for line in 0..lines as u64 {
-            if self.is_dirty(line) {
-                self.clflush(PAddr::new(line * CACHELINE as u64));
+        let (mut flushes, mut writes) = (0u64, 0u64);
+        let mut written: Option<(u64, u64)> = None; // (first, last)
+                                                    // A line the crash injector interrupts stays dirty.
+        self.drain_dirty_lines(|line| {
+            flushes += 1;
+            if self.crash.on_persist_event() {
+                return false;
+            }
+            self.persist_line(line);
+            writes += 1;
+            written = Some((written.map_or(line, |(first, _)| first), line));
+            true
+        });
+        if let Some((first, last)) = written {
+            // Same-line coalescing as in `charge_nvm_write`: the lines are
+            // distinct, so only the first can extend the previous write.
+            if self.last_persist_line.swap(last, Ordering::Relaxed) == first {
+                writes -= 1;
             }
         }
+        let cost = &self.cfg.cost;
+        let ns = flushes * cost.flush_latency_ns + writes * cost.write_latency_ns;
+        self.stats.record_flushes(flushes);
+        self.stats.record_nvm_writes(writes);
+        self.stats.charge_ns(ns);
+        self.emulated_wait(ns);
         self.sfence();
     }
 
@@ -744,30 +794,27 @@ impl NvmPool {
     /// failure).
     pub fn power_cycle(&self) {
         self.stats.record_power_cycle();
-        let lines = self.capacity / CACHELINE;
         let mut rng = match self.cfg.crash_mode {
             CrashMode::TornWords(seed) => Some(SmallRng::seed_from_u64(
                 seed ^ self.stats.snapshot().power_cycles,
             )),
             CrashMode::DropDirty => None,
         };
-        for line in 0..lines as u64 {
-            if self.is_dirty(line) {
-                if let Some(rng) = rng.as_mut() {
-                    // Torn-line mode: each word of the in-flight line may or
-                    // may not have reached NVM.
-                    let start_word = line as usize * (CACHELINE / WORD);
-                    for w in start_word..start_word + CACHELINE / WORD {
-                        if rng.gen_bool(0.5) {
-                            let v = self.volatile[w].load(Ordering::Acquire);
-                            self.persistent[w].store(v, Ordering::Release);
-                            self.mark_wb(line);
-                        }
+        self.drain_dirty_lines(|line| {
+            if let Some(rng) = rng.as_mut() {
+                // Torn-line mode: each word of the in-flight line may or
+                // may not have reached NVM.
+                let start_word = line as usize * (CACHELINE / WORD);
+                for w in start_word..start_word + CACHELINE / WORD {
+                    if rng.gen_bool(0.5) {
+                        let v = self.volatile[w].load(Ordering::Acquire);
+                        self.persistent[w].store(v, Ordering::Release);
+                        self.mark_wb(line);
                     }
                 }
-                self.clear_dirty(line);
             }
-        }
+            true
+        });
         // Restart: loads now observe only what was persistent.
         for w in 0..self.capacity / WORD {
             let v = self.persistent[w].load(Ordering::Acquire);
@@ -1114,6 +1161,73 @@ mod tests {
         }
     }
 
+    /// Dirties the lines at the edges of the bitmap's words: line 0, the
+    /// last and first line of adjacent words (63/64) and the pool's last
+    /// line. Line 0 holds the pool header, so it is rewritten with its own
+    /// value.
+    fn dirty_edge_lines(p: &NvmPool) -> Vec<u64> {
+        let last = (p.capacity() / CACHELINE) as u64 - 1;
+        let header_word = PAddr::new(7 * WORD as u64);
+        p.write_u64(header_word, p.read_u64(header_word));
+        for (i, line) in [63u64, 64, last].into_iter().enumerate() {
+            p.write_u64(PAddr::new(line * CACHELINE as u64), 0xd1_u64 + i as u64);
+        }
+        vec![0, 63, 64, last]
+    }
+
+    #[test]
+    fn flush_all_visits_exactly_the_dirty_lines() {
+        let p = pool();
+        p.flush_all();
+        let lines = dirty_edge_lines(&p);
+        for &line in &lines {
+            assert!(p.is_dirty(line), "line {line} dirty before the flush");
+        }
+        let before = p.stats();
+        p.flush_all();
+        let d = p.stats().since(&before);
+        assert_eq!(d.flushes, lines.len() as u64, "one clflush per dirty line");
+        assert_eq!(d.fences, 1);
+        for &line in &lines {
+            assert!(!p.is_dirty(line), "line {line} clean after the flush");
+        }
+        for (i, &line) in lines[1..].iter().enumerate() {
+            let a = PAddr::new(line * CACHELINE as u64);
+            assert_eq!(p.read_u64_persistent(a), 0xd1 + i as u64);
+        }
+        p.power_cycle();
+        p.verify_header().unwrap();
+    }
+
+    #[test]
+    fn flush_all_and_power_cycle_on_a_clean_pool() {
+        let p = pool();
+        p.flush_all();
+        let before = p.stats();
+        p.flush_all();
+        let d = p.stats().since(&before);
+        assert_eq!(d.flushes, 0, "a clean pool flushes nothing");
+        assert_eq!(d.nvm_writes, 0);
+        assert_eq!(d.fences, 1);
+        p.power_cycle();
+        p.verify_header().unwrap();
+    }
+
+    #[test]
+    fn power_cycle_drops_exactly_the_dirty_lines() {
+        let p = pool();
+        p.flush_all();
+        let lines = dirty_edge_lines(&p);
+        p.power_cycle();
+        for &line in &lines {
+            assert!(!p.is_dirty(line), "line {line} clean after the cycle");
+        }
+        for &line in &lines[1..] {
+            assert_eq!(p.read_u64(PAddr::new(line * CACHELINE as u64)), 0);
+        }
+        p.verify_header().unwrap();
+    }
+
     #[test]
     fn out_of_bounds_and_misaligned_checks() {
         let p = pool();
@@ -1326,6 +1440,38 @@ mod tests {
         match p.io_error().unwrap() {
             NvmError::Io { detail, .. } => assert!(detail.contains("fsync")),
             other => panic!("expected Io, got {other:?}"),
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn file_fence_writes_back_exactly_the_pending_edge_lines() {
+        let path = tmpfile("edges");
+        let p = NvmPool::create_file(PoolConfig::with_capacity(1 << 20), &path).unwrap();
+        p.sfence();
+        // A fence with nothing pending touches the file not at all.
+        let ops = p.backend_io_ops().unwrap();
+        p.sfence();
+        assert_eq!(p.backend_io_ops().unwrap(), ops, "clean fence does no I/O");
+        let last = (p.capacity() / CACHELINE) as u64 - 1;
+        let lines = [63u64, 64, last];
+        for (i, &line) in lines.iter().enumerate() {
+            p.write_u64_nt(PAddr::new(line * CACHELINE as u64), 0xe1 + i as u64);
+        }
+        let ops = p.backend_io_ops().unwrap();
+        p.sfence();
+        // Two writes (data + CRC) per pending line, then one fsync.
+        assert_eq!(
+            p.backend_io_ops().unwrap() - ops,
+            2 * lines.len() as u64 + 1
+        );
+        drop(p);
+        let p = NvmPool::open_file(PoolConfig::with_capacity(1 << 20), &path).unwrap();
+        for (i, &line) in lines.iter().enumerate() {
+            assert_eq!(
+                p.read_u64(PAddr::new(line * CACHELINE as u64)),
+                0xe1 + i as u64
+            );
         }
         let _ = std::fs::remove_file(&path);
     }

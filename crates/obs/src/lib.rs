@@ -163,6 +163,11 @@ pub struct Metrics {
     pub net_stalls: Counter,
     /// Network connections currently open (last observed).
     pub net_connections: Gauge,
+    /// Committer time spent in each checkpoint — the stall the next
+    /// commit group sees behind it.
+    pub checkpoint_ns: Histogram,
+    /// Log records removed by checkpoints.
+    pub log_truncated: Counter,
 }
 
 impl Metrics {
@@ -182,6 +187,8 @@ impl Metrics {
             net_busy: self.net_busy.get(),
             net_stalls: self.net_stalls.get(),
             net_connections: self.net_connections.get(),
+            checkpoint_ns: self.checkpoint_ns.snapshot(),
+            log_truncated: self.log_truncated.get(),
         }
     }
 }
@@ -217,6 +224,10 @@ pub struct MetricsSnapshot {
     pub net_stalls: u64,
     /// Last observed open-connection count (`merge` takes the max).
     pub net_connections: u64,
+    /// Checkpoint duration distribution.
+    pub checkpoint_ns: HistSnapshot,
+    /// Log records removed by checkpoints.
+    pub log_truncated: u64,
 }
 
 impl MetricsSnapshot {
@@ -236,6 +247,8 @@ impl MetricsSnapshot {
             net_busy: self.net_busy + other.net_busy,
             net_stalls: self.net_stalls + other.net_stalls,
             net_connections: self.net_connections.max(other.net_connections),
+            checkpoint_ns: self.checkpoint_ns.merge(&other.checkpoint_ns),
+            log_truncated: self.log_truncated + other.log_truncated,
         }
     }
 
@@ -259,6 +272,13 @@ impl MetricsSnapshot {
         hist("group_flush", &self.group_flush_ns);
         hist("recovery", &self.recovery_ns);
         hist("net", &self.net_op_ns);
+        hist("checkpoint", &self.checkpoint_ns);
+        if !self.checkpoint_ns.is_empty() {
+            out.push((
+                "checkpoint_max_us".to_string(),
+                self.checkpoint_ns.max as f64 / 1000.0,
+            ));
+        }
         // Queue depth is a count distribution, not a latency: no unit
         // conversion, and only the tail quantiles are worth gating.
         if !self.queue_depth.is_empty() {

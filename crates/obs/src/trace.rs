@@ -97,6 +97,9 @@ pub enum EventKind {
     NetBusy = 27,
     /// A connection closed (`a` = connection id, `b` = requests served).
     NetClose = 28,
+    /// A shard's committer took a checkpoint (`a` = shard, `b` = log
+    /// records truncated).
+    Checkpoint = 29,
 }
 
 impl EventKind {
@@ -131,6 +134,7 @@ impl EventKind {
             26 => NetSettle,
             27 => NetBusy,
             28 => NetClose,
+            29 => Checkpoint,
             _ => return None,
         })
     }

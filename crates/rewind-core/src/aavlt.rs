@@ -19,6 +19,12 @@
 //! fails again during recovery. De-allocation of removed nodes is deferred to
 //! the end of the operation, as the paper requires.
 //!
+//! Clearing the undo entries of a *completed* operation takes several
+//! persist events, so a persistent `done` word (next to the root cell) is
+//! set before the clearing starts and reset after it: recovery discards
+//! whatever entries a crash left behind while `done` is set instead of
+//! rolling back part of an operation that already completed.
+//!
 //! Each tree node represents one transaction and anchors that transaction's
 //! chain of log records (most recent first, linked through the records' `prev`
 //! field), which is what gives the two-layer configuration its fast selective
@@ -52,7 +58,9 @@ pub struct Aavlt {
     pool: Arc<NvmPool>,
     /// Private undo log for the tree's own structural updates.
     meta_log: RecoverableLog,
-    /// Persistent cell holding the root node address.
+    /// Persistent cell holding the root node address; the word after it is
+    /// the `done` flag of the operation whose undo entries are being
+    /// cleared.
     root_cell: PAddr,
     /// Serializes tree operations: "every update to the AAVLT is only
     /// executed by a single thread" (Section 3.4).
@@ -80,8 +88,9 @@ impl Aavlt {
             ..*cfg
         };
         let meta_log = RecoverableLog::create(Arc::clone(&pool), &meta_cfg)?;
-        let root_cell = pool.alloc(8)?;
+        let root_cell = pool.alloc(16)?;
         pool.write_u64_nt(root_cell, 0);
+        pool.write_u64_nt(root_cell.word(1), 0);
         pool.sfence();
         Ok(Aavlt {
             pool,
@@ -165,11 +174,13 @@ impl Aavlt {
     /// free nodes whose removal was deferred.
     fn finish_op(&self, deferred_free: &[PAddr]) -> Result<()> {
         self.pool.sfence();
+        // The operation is complete: from here on recovery must discard the
+        // undo entries, not apply them.
+        self.pool.write_u64_nt(self.done_cell(), 1);
+        self.pool.sfence();
         // Clearing one entry at a time keeps the private log tiny; the
         // operations below never interleave with another tree operation.
-        for entry in self.meta_log.scan(false)? {
-            self.meta_log.clear_slot(entry.slot)?;
-        }
+        self.clear_undo_entries()?;
         for node in deferred_free {
             self.pool.free(*node, AAVLT_NODE_SIZE)?;
         }
@@ -180,17 +191,37 @@ impl Aavlt {
     /// there was something to roll back. Idempotent.
     pub fn recover(&self) -> Result<bool> {
         let entries = self.meta_log.scan(true)?;
-        if entries.is_empty() {
+        let done = self.pool.read_u64(self.done_cell()) != 0;
+        if entries.is_empty() && !done {
             return Ok(false);
         }
-        for entry in entries.iter().rev() {
-            self.pool.write_u64_nt(entry.record.addr, entry.record.old);
+        if !done {
+            for entry in entries.iter().rev() {
+                self.pool.write_u64_nt(entry.record.addr, entry.record.old);
+            }
+            self.pool.sfence();
+            self.pool.write_u64_nt(self.done_cell(), 1);
+            self.pool.sfence();
         }
-        self.pool.sfence();
-        for entry in entries {
+        self.clear_undo_entries()?;
+        Ok(!done)
+    }
+
+    /// The persistent `done` flag (see the module documentation).
+    fn done_cell(&self) -> PAddr {
+        self.root_cell.word(1)
+    }
+
+    /// Clears every undo entry, then resets `done`. Only runs once the
+    /// entries are obsolete (their operation completed or was rolled back)
+    /// and `done` says so durably. The reset needs no fence of its own: the
+    /// next operation's first undo entry is appended behind a fence.
+    fn clear_undo_entries(&self) -> Result<()> {
+        for entry in self.meta_log.scan(false)? {
             self.meta_log.clear_slot(entry.slot)?;
         }
-        Ok(true)
+        self.pool.write_u64_nt(self.done_cell(), 0);
+        Ok(())
     }
 
     // ------------------------------------------------------------------

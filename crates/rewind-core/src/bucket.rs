@@ -13,6 +13,12 @@
 //! insert position are volatile and are reconstructed during the analysis
 //! phase after a crash, exactly as the paper describes.
 //!
+//! Each bucket owns the records its cells point to: one allocation holds
+//! the header, the cells and, cacheline-aligned after them, one record slot
+//! per cell (cell `i`'s record lives in slot `i`). Appending a record then
+//! needs no allocation of its own, a group persist flushes one contiguous
+//! record range, and dropping a bucket returns all its records at once.
+//!
 //! The Batch variant adds the "multiple log records per cacheline"
 //! optimisation: record pointers are written with ordinary stores and only
 //! every `group_size` records (or on a bucket boundary, or when an END record
@@ -20,6 +26,7 @@
 //! bucket's persistent watermark (`last_persistent`) with a single
 //! non-temporal store. Recovery trusts only the cells below the watermark.
 
+use crate::record::RECORD_SIZE;
 use crate::Result;
 use rewind_nvm::{NvmPool, PAddr};
 use std::sync::Arc;
@@ -32,9 +39,11 @@ const BUCKET_HEADER_WORDS: u64 = 2;
 const OFF_CAPACITY: u64 = 0;
 const OFF_LAST_PERSISTENT: u64 = 1;
 
-/// A fixed-size array of record-pointer cells in NVM.
+/// A fixed-size array of record-pointer cells in NVM, followed by the
+/// record slots the cells point to.
 ///
-/// Layout: `capacity, last_persistent, cell[0], cell[1], ...`.
+/// Layout: `capacity, last_persistent, cell[0], cell[1], ...`, then (from
+/// the next cacheline) `record[0], record[1], ...`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bucket {
     /// Address of the bucket in NVM.
@@ -42,18 +51,30 @@ pub struct Bucket {
 }
 
 impl Bucket {
-    /// Bytes needed for a bucket with `capacity` cells.
+    /// Bytes of the header and cells of a bucket with `capacity` cells.
     pub fn byte_size(capacity: usize) -> usize {
         (BUCKET_HEADER_WORDS as usize + capacity) * 8
+    }
+
+    /// Bytes of the whole allocation behind a bucket: header, cells and the
+    /// cacheline-aligned record slots.
+    pub fn alloc_size(capacity: usize) -> usize {
+        Self::records_offset(capacity) + capacity * RECORD_SIZE
+    }
+
+    fn records_offset(capacity: usize) -> usize {
+        Self::byte_size(capacity).div_ceil(RECORD_SIZE) * RECORD_SIZE
     }
 
     /// Allocates and formats a new bucket with `capacity` zeroed cells.
     ///
     /// The zero-fill uses ordinary stores followed by a single flush of the
-    /// bucket range: a fresh bucket only becomes reachable once the ADLL
-    /// append that links it in persists, and that append fences first.
+    /// cell range: a fresh bucket only becomes reachable once the ADLL
+    /// append that links it in persists, and that append fences first. The
+    /// record slots need no formatting: a slot is written before the cell
+    /// that points at it.
     pub fn create(pool: &Arc<NvmPool>, capacity: usize) -> Result<Bucket> {
-        let addr = pool.alloc(Self::byte_size(capacity))?;
+        let addr = pool.alloc(Self::alloc_size(capacity))?;
         pool.write_u64(addr.word(OFF_CAPACITY), capacity as u64);
         pool.write_u64(addr.word(OFF_LAST_PERSISTENT), 0);
         for i in 0..capacity as u64 {
@@ -85,6 +106,13 @@ impl Bucket {
         self.addr.word(BUCKET_HEADER_WORDS + idx as u64)
     }
 
+    /// Address of the record slot of cell `idx` in a bucket of `capacity`
+    /// cells.
+    pub fn record_addr(&self, capacity: usize, idx: usize) -> PAddr {
+        self.addr
+            .add((Self::records_offset(capacity) + idx * RECORD_SIZE) as u64)
+    }
+
     /// Reads cell `idx` (0 = empty, [`GAP`] = cleared, otherwise a record
     /// address).
     pub fn cell(&self, pool: &NvmPool, idx: usize) -> u64 {
@@ -110,21 +138,25 @@ impl Bucket {
         pool.write_u64_nt(self.cell_addr(idx), GAP);
     }
 
-    /// Flushes the cachelines covering cells `[from, to)` and the records
-    /// they point to, fences once, and advances the persistent watermark to
-    /// `to`. This is the Batch variant's group-persist step: one fence and
-    /// one non-temporal store cover up to `group_size` records.
-    pub fn persist_group(&self, pool: &NvmPool, from: usize, to: usize) {
+    /// Marks cells `[from, to)` as gaps, in cell order — one non-temporal
+    /// store per cell, like [`Bucket::clear_cell`].
+    pub fn clear_cells(&self, pool: &NvmPool, from: usize, to: usize) {
+        for idx in from..to {
+            self.clear_cell(pool, idx);
+        }
+    }
+
+    /// Flushes the cachelines covering cells `[from, to)` of a bucket of
+    /// `capacity` cells and the record slots they point to, fences once,
+    /// and advances the persistent watermark to `to`. This is the Batch
+    /// variant's group-persist step: one fence and one non-temporal store
+    /// cover up to `group_size` records.
+    pub fn persist_group(&self, pool: &NvmPool, capacity: usize, from: usize, to: usize) {
         if to <= from {
             return;
         }
         // Flush the record payloads first, then the cells pointing at them.
-        for idx in from..to {
-            let rec = self.cell(pool, idx);
-            if rec != 0 && rec != GAP {
-                pool.clflush_range(PAddr::new(rec), crate::record::RECORD_SIZE);
-            }
-        }
+        pool.clflush_range(self.record_addr(capacity, from), (to - from) * RECORD_SIZE);
         pool.clflush_range(self.cell_addr(from), (to - from) * 8);
         pool.sfence();
         pool.write_u64_nt(self.addr.word(OFF_LAST_PERSISTENT), to as u64);
@@ -216,7 +248,7 @@ mod tests {
         let r1 = make_record(&p, 2);
         b.set_cell(&p, 0, r0);
         b.set_cell(&p, 1, r1);
-        b.persist_group(&p, 0, 2);
+        b.persist_group(&p, 8, 0, 2);
         p.power_cycle();
         assert_eq!(b.cell(&p, 0), r0.offset());
         assert_eq!(b.cell(&p, 1), r1.offset());
@@ -232,7 +264,7 @@ mod tests {
             b.set_cell(&p, i, *r);
         }
         let before = p.stats();
-        b.persist_group(&p, 0, 8);
+        b.persist_group(&p, 8, 0, 8);
         let d = p.stats().since(&before);
         assert_eq!(d.fences, 1, "one fence per group");
         assert_eq!(d.nt_stores, 1, "one watermark store per group");
@@ -261,7 +293,7 @@ mod tests {
             let r = make_record(&p, i as u64);
             b.set_cell(&p, i, r);
         }
-        b.persist_group(&p, 0, 4);
+        b.persist_group(&p, 8, 0, 4);
         // Cells 4 and 5 were written but never covered by a group persist.
         let (next_free, live) = b.reconstruct(&p, true);
         assert_eq!(next_free, 4);

@@ -14,17 +14,19 @@
 //!
 //! A [`SlotId`] identifies where a record sits (a list node for Simple, a
 //! `(bucket, cell)` pair for the bucketed variants) so that the transaction
-//! manager can clear individual records during commit-time clearing and
-//! checkpoints.
+//! manager can clear individual records during force-policy commit-time
+//! clearing. No-force checkpoints instead *truncate* the log in log order
+//! ([`RecoverableLog::truncate`]): whole buckets at a time from the head,
+//! so the surviving log is a suffix of the original.
 
 use crate::adll::Adll;
 use crate::bucket::{Bucket, GAP};
 use crate::config::{LogStructure, RewindConfig};
 use crate::record::{LogRecord, RecordType, RECORD_SIZE};
 use crate::Result;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use rewind_nvm::{NvmPool, PAddr};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -54,6 +56,85 @@ pub struct LogEntry {
     pub record: LogRecord,
 }
 
+/// The log's append frontier at one instant: the last record appended so
+/// far. [`RecoverableLog::truncate`] never looks past it, so records appended
+/// after the frontier was taken are never candidates for removal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LogFrontier(Option<SlotId>);
+
+/// Transactions a truncation must leave in the log: every transaction that
+/// was not finished when the checkpoint took its snapshot (running, rolling
+/// back, or prepared and in doubt), by id, plus the slot of each one's
+/// oldest record.
+#[derive(Debug, Clone, Default)]
+pub struct Pins {
+    /// Ids of the pinned transactions.
+    pub txids: HashSet<u64>,
+    /// Slot of each pinned transaction's oldest record.
+    pub first_slots: Vec<SlotId>,
+}
+
+/// Words written by records that survive a truncation. A record that
+/// survives while a newer record writing the same word is removed would let
+/// redo replay the older value over the newer one; truncation therefore
+/// keeps every record that *hits* a blocked word.
+#[derive(Debug, Default)]
+pub(crate) struct Blocked(BTreeSet<u64>);
+
+impl Blocked {
+    /// Whether `r` writes a blocked word, or (DELETE) frees a block that
+    /// holds one.
+    pub(crate) fn hits(&self, r: &LogRecord) -> bool {
+        let start = r.addr.offset();
+        match r.rtype {
+            RecordType::Update | RecordType::Clr => self.0.contains(&start),
+            RecordType::Delete => self.0.range(start..start + r.old).next().is_some(),
+            _ => false,
+        }
+    }
+
+    /// Notes that `r` survives: the word it writes is blocked from now on.
+    pub(crate) fn add(&mut self, r: &LogRecord) {
+        if matches!(r.rtype, RecordType::Update | RecordType::Clr) {
+            self.0.insert(r.addr.offset());
+        }
+    }
+}
+
+/// The decision state of a truncation walk once it has passed the oldest
+/// pinned record. Before that point every record belongs to a finished
+/// transaction and goes; after it, a record goes only if clearing it keeps
+/// recovery exact: it must not hit a word a survivor writes ([`Blocked`]),
+/// and a transaction with a surviving record keeps its END (END records go
+/// last per transaction), or recovery would roll it back.
+#[derive(Debug, Default)]
+struct Sieve {
+    active: bool,
+    blocked: Blocked,
+    kept_tx: HashSet<u64>,
+}
+
+impl Sieve {
+    /// Whether the record at `rec_addr` must survive the truncation.
+    fn keeps(&mut self, pool: &NvmPool, pins: &Pins, rec_addr: PAddr) -> Result<bool> {
+        if !self.active {
+            return Ok(false);
+        }
+        let r = LogRecord::read_from(pool, rec_addr)?;
+        let keep = pins.txids.contains(&r.txid)
+            || self.blocked.hits(&r)
+            || (matches!(
+                r.rtype,
+                RecordType::End | RecordType::Rollback | RecordType::Prepare
+            ) && self.kept_tx.contains(&r.txid));
+        if keep {
+            self.kept_tx.insert(r.txid);
+            self.blocked.add(&r);
+        }
+        Ok(keep)
+    }
+}
+
 /// Volatile per-bucket bookkeeping: the live-record count plus a back-pointer
 /// to the ADLL node carrying the bucket, so that unlinking an emptied bucket
 /// is O(1) instead of a linear search through the list.
@@ -63,6 +144,10 @@ struct BucketRef {
     live: usize,
     /// The ADLL node whose element is this bucket.
     node: PAddr,
+    /// Whether the bucket may hold a DELETE record, whose deferred free a
+    /// truncation must perform. Only then does truncation read record
+    /// types; a bucket rebuilt after a restart is assumed to.
+    deletes: bool,
 }
 
 /// Volatile bookkeeping for the bucketed variants.
@@ -70,6 +155,9 @@ struct BucketRef {
 struct BucketState {
     /// Bucket currently receiving inserts (tail of the ADLL).
     current: Option<Bucket>,
+    /// Capacity of the current bucket (a bucket rebuilt after a restart
+    /// keeps the capacity it was created with).
+    capacity: usize,
     /// Next free cell in the current bucket.
     next_cell: usize,
     /// First cell of the current batch group not yet covered by a group
@@ -77,6 +165,21 @@ struct BucketState {
     group_start: usize,
     /// Per-bucket state, keyed by bucket address.
     occupancy: HashMap<u64, BucketRef>,
+    /// Whether every append seals its group at once (Batch only; set while
+    /// a checkpoint flushes the cache).
+    seal_each: bool,
+}
+
+impl BucketState {
+    /// Books one record appended to `bucket` (the current bucket).
+    fn count_append(&mut self, bucket: Bucket, rtype: RecordType) {
+        let occ = self
+            .occupancy
+            .get_mut(&bucket.addr.offset())
+            .expect("current bucket has an occupancy entry");
+        occ.live += 1;
+        occ.deletes |= rtype == RecordType::Delete;
+    }
 }
 
 #[derive(Debug)]
@@ -199,11 +302,11 @@ impl RecoverableLog {
     ///
     /// Returns the record's address and slot.
     pub fn append(&self, record: &LogRecord) -> Result<(PAddr, SlotId)> {
-        let rec_addr = self.pool.alloc(RECORD_SIZE)?;
         match self.structure {
             LogStructure::Simple => {
                 // Record fields first, then a fence, then the atomic node
                 // append: the log applies WAL to itself.
+                let rec_addr = self.pool.alloc(RECORD_SIZE)?;
                 record.write_to_nt(&self.pool, rec_addr);
                 self.pool.sfence();
                 let mut inner = self.inner.lock();
@@ -213,18 +316,16 @@ impl RecoverableLog {
                 Ok((rec_addr, SlotId::Node(node)))
             }
             LogStructure::Optimized => {
-                record.write_to_nt(&self.pool, rec_addr);
-                self.pool.sfence();
+                // The record goes into the slot its cell owns, and must be
+                // persistent before the cell points at it.
                 let mut inner = self.inner.lock();
                 let (bucket, cell) = self.reserve_cell(&mut inner)?;
+                let rec_addr = bucket.record_addr(inner.buckets.capacity, cell);
+                record.write_to_nt(&self.pool, rec_addr);
+                self.pool.sfence();
                 bucket.set_cell_nt(&self.pool, cell, rec_addr);
                 self.pool.sfence();
-                inner
-                    .buckets
-                    .occupancy
-                    .get_mut(&bucket.addr.offset())
-                    .expect("current bucket has an occupancy entry")
-                    .live += 1;
+                inner.buckets.count_append(bucket, record.rtype);
                 inner.live_records += 1;
                 inner.appended += 1;
                 Ok((
@@ -237,31 +338,32 @@ impl RecoverableLog {
             }
             LogStructure::Batch => {
                 // Ordinary stores; persistence deferred to the group flush.
-                record.write_to(&self.pool, rec_addr);
                 let mut inner = self.inner.lock();
                 let (bucket, cell) = self.reserve_cell(&mut inner)?;
+                let rec_addr = bucket.record_addr(inner.buckets.capacity, cell);
+                record.write_to(&self.pool, rec_addr);
                 bucket.set_cell(&self.pool, cell, rec_addr);
-                inner
-                    .buckets
-                    .occupancy
-                    .get_mut(&bucket.addr.offset())
-                    .expect("current bucket has an occupancy entry")
-                    .live += 1;
+                inner.buckets.count_append(bucket, record.rtype);
                 inner.live_records += 1;
                 inner.appended += 1;
                 // Group boundary, bucket boundary or END record: flush now.
                 let group_end = cell + 1;
                 let group_full = group_end - inner.buckets.group_start >= self.group_size;
-                let bucket_full = group_end >= self.bucket_size;
+                let bucket_full = group_end >= inner.buckets.capacity;
                 let is_end = record.rtype == RecordType::End;
-                if group_full || bucket_full || is_end {
+                if group_full || bucket_full || is_end || inner.buckets.seal_each {
                     self.obs.emit(
                         rewind_obs::EventKind::LogGroupSeal,
                         0,
                         (group_end - inner.buckets.group_start) as u64,
                         0,
                     );
-                    bucket.persist_group(&self.pool, inner.buckets.group_start, group_end);
+                    bucket.persist_group(
+                        &self.pool,
+                        inner.buckets.capacity,
+                        inner.buckets.group_start,
+                        group_end,
+                    );
                     inner.buckets.group_start = group_end;
                 }
                 Ok((
@@ -279,9 +381,14 @@ impl RecoverableLog {
     /// this before letting a *forced* user write proceed so that a log record
     /// can never be overtaken by the write it covers.
     pub fn flush_pending(&self) -> Result<()> {
-        if self.structure != LogStructure::Batch {
-            return Ok(());
+        if self.structure == LogStructure::Batch {
+            self.seal_pending();
         }
+        Ok(())
+    }
+
+    /// Seals the pending Batch group and returns the log lock, still held.
+    fn seal_pending(&self) -> MutexGuard<'_, LogInner> {
         let mut inner = self.inner.lock();
         if let Some(bucket) = inner.buckets.current {
             let end = inner.buckets.next_cell;
@@ -292,29 +399,39 @@ impl RecoverableLog {
                     (end - inner.buckets.group_start) as u64,
                     0,
                 );
-                bucket.persist_group(&self.pool, inner.buckets.group_start, end);
+                bucket.persist_group(
+                    &self.pool,
+                    inner.buckets.capacity,
+                    inner.buckets.group_start,
+                    end,
+                );
                 inner.buckets.group_start = end;
             }
         }
-        Ok(())
+        inner
     }
 
     /// Reserves the next free cell, appending a new bucket when necessary.
     fn reserve_cell(&self, inner: &mut LogInner) -> Result<(Bucket, usize)> {
         let need_new = match inner.buckets.current {
             None => true,
-            Some(_) => inner.buckets.next_cell >= self.bucket_size,
+            Some(_) => inner.buckets.next_cell >= inner.buckets.capacity,
         };
         if need_new {
             let bucket = Bucket::create(&self.pool, self.bucket_size)?;
             let node = inner.adll.append(bucket.addr)?;
             inner.buckets.current = Some(bucket);
+            inner.buckets.capacity = self.bucket_size;
             inner.buckets.next_cell = 0;
             inner.buckets.group_start = 0;
-            inner
-                .buckets
-                .occupancy
-                .insert(bucket.addr.offset(), BucketRef { live: 0, node });
+            inner.buckets.occupancy.insert(
+                bucket.addr.offset(),
+                BucketRef {
+                    live: 0,
+                    node,
+                    deletes: false,
+                },
+            );
         }
         let bucket = inner.buckets.current.expect("current bucket must exist");
         let cell = inner.buckets.next_cell;
@@ -423,15 +540,13 @@ impl RecoverableLog {
                 }
             }
             SlotId::Cell { bucket, cell } => {
+                // The record's slot belongs to the bucket and is returned
+                // with it once every cell is a gap.
                 let bucket = Bucket::attach(bucket);
-                let rec = bucket.cell(&self.pool, cell);
-                if rec == GAP {
+                if bucket.cell(&self.pool, cell) == GAP {
                     return Ok(());
                 }
                 bucket.clear_cell(&self.pool, cell);
-                if rec != 0 {
-                    self.pool.free(PAddr::new(rec), RECORD_SIZE)?;
-                }
                 let is_current = inner
                     .buckets
                     .current
@@ -450,13 +565,205 @@ impl RecoverableLog {
                     let capacity = bucket.capacity(&self.pool);
                     inner.adll.remove(node)?;
                     self.pool.free(node, crate::adll::ADLL_NODE_SIZE)?;
-                    self.pool.free(bucket.addr, Bucket::byte_size(capacity))?;
+                    self.pool.free(bucket.addr, Bucket::alloc_size(capacity))?;
                     inner.buckets.occupancy.remove(&bucket.addr.offset());
                 }
             }
         }
         inner.live_records = inner.live_records.saturating_sub(1);
         Ok(())
+    }
+
+    /// Flushes the whole cache ([`NvmPool::flush_all`]) for a checkpoint.
+    /// A Batch log first seals its pending group, and until the flush is
+    /// done every append seals its own group before it returns. A user
+    /// write is only made after its record is appended, so every write the
+    /// flush can make durable has its record below the persistent
+    /// watermark, where recovery finds it. The other structures persist
+    /// each record before returning it.
+    pub fn flush_all_sealed(&self) {
+        if self.structure != LogStructure::Batch {
+            self.pool.flush_all();
+            return;
+        }
+        self.seal_pending().buckets.seal_each = true;
+        self.pool.flush_all();
+        self.inner.lock().buckets.seal_each = false;
+    }
+
+    /// The current append frontier (see [`LogFrontier`]).
+    pub fn frontier(&self) -> LogFrontier {
+        let inner = self.inner.lock();
+        LogFrontier(match self.structure {
+            LogStructure::Simple => Some(inner.adll.tail())
+                .filter(|n| !n.is_null())
+                .map(SlotId::Node),
+            LogStructure::Optimized | LogStructure::Batch => {
+                inner.buckets.current.map(|b| SlotId::Cell {
+                    bucket: b.addr,
+                    cell: inner.buckets.next_cell,
+                })
+            }
+        })
+    }
+
+    /// Removes records in log order, from the head up to `upto`, leaving the
+    /// records of `pins` in place. Once the walk passes the oldest pinned
+    /// record it also keeps every record that writes a word a survivor
+    /// writes, and the END of any transaction with a survivor, so redo over
+    /// the surviving log stays exact. DELETE records perform their deferred
+    /// de-allocation as they go. Returns the records removed.
+    ///
+    /// The bucketed logs drop a bucket whose records all go with one ADLL
+    /// unlink and one free (its records live in slots it owns), without
+    /// reading its cells unless it may hold a DELETE; only a bucket that
+    /// keeps a record (or is still receiving appends) is gapped out cell run
+    /// by cell run. Either way the removals happen in log order, so a crash
+    /// part-way leaves a log that is still a valid truncation: the pinned
+    /// records plus a suffix of the rest. Memory is freed only after the
+    /// removal that unlinks it is durable, so a crash can leak a block but
+    /// never free it twice.
+    ///
+    /// The log lock is taken per bucket (per node for Simple), so appends
+    /// by concurrent transactions interleave with a long truncation.
+    /// Caller contract: the records of every transaction outside `pins` that
+    /// lie before `upto` are finished and their user data is durable.
+    pub fn truncate(&self, upto: LogFrontier, pins: &Pins) -> Result<u64> {
+        match upto.0 {
+            None => Ok(0),
+            Some(SlotId::Node(last)) => self.truncate_nodes(last, pins),
+            Some(SlotId::Cell { bucket, cell }) => self.truncate_buckets(bucket, cell, pins),
+        }
+    }
+
+    fn truncate_nodes(&self, last: PAddr, pins: &Pins) -> Result<u64> {
+        let first: HashSet<PAddr> = pins
+            .first_slots
+            .iter()
+            .filter_map(|s| match s {
+                SlotId::Node(n) => Some(*n),
+                SlotId::Cell { .. } => None,
+            })
+            .collect();
+        let mut sieve = Sieve::default();
+        let mut removed = 0;
+        let mut node = self.inner.lock().adll.head();
+        while !node.is_null() {
+            let mut inner = self.inner.lock();
+            let rec = inner.adll.element(node);
+            let next = inner.adll.next(node);
+            sieve.active |= first.contains(&node);
+            if !sieve.keeps(&self.pool, pins, rec)? {
+                let deferred = LogRecord::deferred_free_at(&self.pool, rec)?;
+                inner.adll.remove(node)?;
+                inner.live_records = inner.live_records.saturating_sub(1);
+                drop(inner);
+                self.pool.free(node, crate::adll::ADLL_NODE_SIZE)?;
+                self.pool.free(rec, RECORD_SIZE)?;
+                if let Some((block, size)) = deferred {
+                    self.pool.free(block, size)?;
+                }
+                removed += 1;
+            }
+            if node == last {
+                break;
+            }
+            node = next;
+        }
+        Ok(removed)
+    }
+
+    fn truncate_buckets(&self, last: PAddr, last_end: usize, pins: &Pins) -> Result<u64> {
+        let mut pin_at: HashMap<u64, usize> = HashMap::new();
+        for slot in &pins.first_slots {
+            if let SlotId::Cell { bucket, cell } = *slot {
+                let at = pin_at.entry(bucket.offset()).or_insert(cell);
+                *at = (*at).min(cell);
+            }
+        }
+        let mut sieve = Sieve::default();
+        let mut removed = 0;
+        let mut node = self.inner.lock().adll.head();
+        while !node.is_null() {
+            let mut inner = self.inner.lock();
+            let bucket = Bucket::attach(inner.adll.element(node));
+            let next = inner.adll.next(node);
+            let is_last = bucket.addr == last;
+            let is_current = inner.buckets.current.is_some_and(|b| b.addr == bucket.addr);
+            let capacity = bucket.capacity(&self.pool);
+            let pin = pin_at.get(&bucket.addr.offset()).copied();
+            let occ = *inner
+                .buckets
+                .occupancy
+                .get(&bucket.addr.offset())
+                .expect("every linked bucket has an occupancy entry");
+            // Which cells go. The common case — a full bucket of finished
+            // records without DELETEs — needs no look at the cells at all.
+            let whole = !is_last && !is_current && pin.is_none() && !sieve.active && !occ.deletes;
+            let mut cells = Vec::new();
+            let mut deferred = Vec::new();
+            if !whole {
+                let limit = if is_last {
+                    last_end.min(capacity)
+                } else {
+                    capacity
+                };
+                for cell in 0..limit {
+                    let v = bucket.cell(&self.pool, cell);
+                    if v == 0 || v == GAP {
+                        continue;
+                    }
+                    let rec = PAddr::new(v);
+                    sieve.active |= pin.is_some_and(|p| cell >= p);
+                    if sieve.keeps(&self.pool, pins, rec)? {
+                        continue;
+                    }
+                    if occ.deletes {
+                        deferred.extend(LogRecord::deferred_free_at(&self.pool, rec)?);
+                    }
+                    cells.push(cell);
+                }
+            }
+            let gone = if whole { occ.live } else { cells.len() };
+            // A bucket left without live records goes too, including one a
+            // crash left all gaps before it could be unlinked.
+            let emptied = gone == occ.live && !is_current;
+            if gone > 0 || emptied {
+                if emptied {
+                    inner.adll.remove(node)?;
+                    inner.buckets.occupancy.remove(&bucket.addr.offset());
+                } else {
+                    // Gap the cells out run by run, in cell order.
+                    let mut i = 0;
+                    while i < cells.len() {
+                        let mut j = i + 1;
+                        while j < cells.len() && cells[j] == cells[j - 1] + 1 {
+                            j += 1;
+                        }
+                        bucket.clear_cells(&self.pool, cells[i], cells[j - 1] + 1);
+                        i = j;
+                    }
+                    if let Some(o) = inner.buckets.occupancy.get_mut(&bucket.addr.offset()) {
+                        o.live -= gone;
+                    }
+                }
+                inner.live_records = inner.live_records.saturating_sub(gone as u64);
+                drop(inner);
+                if emptied {
+                    self.pool.free(node, crate::adll::ADLL_NODE_SIZE)?;
+                    self.pool.free(bucket.addr, Bucket::alloc_size(capacity))?;
+                }
+                for (block, size) in deferred {
+                    self.pool.free(block, size)?;
+                }
+                removed += gone as u64;
+            }
+            if is_last {
+                break;
+            }
+            node = next;
+        }
+        Ok(removed)
     }
 
     /// Drops the entire log content the way Section 4.5 describes for
@@ -486,15 +793,8 @@ impl RecoverableLog {
                     }
                 }
                 LogStructure::Optimized | LogStructure::Batch => {
-                    let bucket = Bucket::attach(element);
-                    let capacity = bucket.capacity(&self.pool);
-                    for cell in 0..capacity {
-                        let v = bucket.cell(&self.pool, cell);
-                        if v != 0 && v != GAP {
-                            self.pool.free(PAddr::new(v), RECORD_SIZE)?;
-                        }
-                    }
-                    self.pool.free(element, Bucket::byte_size(capacity))?;
+                    let capacity = Bucket::attach(element).capacity(&self.pool);
+                    self.pool.free(element, Bucket::alloc_size(capacity))?;
                 }
             }
             self.pool.free(node, crate::adll::ADLL_NODE_SIZE)?;
@@ -566,15 +866,24 @@ impl RecoverableLog {
             for node in inner.adll.iter() {
                 let bucket = Bucket::attach(inner.adll.element(node));
                 let (next_free, live) = bucket.reconstruct(&self.pool, trust);
-                occupancy.insert(bucket.addr.offset(), BucketRef { live, node });
+                occupancy.insert(
+                    bucket.addr.offset(),
+                    BucketRef {
+                        live,
+                        node,
+                        deletes: true,
+                    },
+                );
                 live_total += live as u64;
                 last_bucket = Some((bucket, next_free));
             }
             inner.buckets = BucketState {
                 current: last_bucket.map(|(b, _)| b),
+                capacity: last_bucket.map_or(0, |(b, _)| b.capacity(&self.pool)),
                 next_cell: last_bucket.map(|(_, n)| n).unwrap_or(0),
                 group_start: last_bucket.map(|(_, n)| n).unwrap_or(0),
                 occupancy,
+                seal_each: false,
             };
             inner.live_records = live_total;
         } else {
@@ -859,5 +1168,29 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// While a checkpoint flushes the cache, a Batch append is durable when
+    /// it returns, like a Simple or Optimized one: the flush may make the
+    /// write it covers durable at any moment.
+    #[test]
+    fn appends_during_a_checkpoint_flush_seal_their_group() {
+        let p = pool();
+        let c = cfg(LogStructure::Batch);
+        let log = RecoverableLog::create(Arc::clone(&p), &c).unwrap();
+        log.append(&rec(0, 1)).unwrap();
+        log.seal_pending().buckets.seal_each = true;
+        log.append(&rec(1, 1)).unwrap();
+        let header = log.header();
+        drop(log);
+        p.power_cycle();
+        let log = RecoverableLog::attach(Arc::clone(&p), &c, header).unwrap();
+        let lsns: Vec<u64> = log
+            .scan(true)
+            .unwrap()
+            .iter()
+            .map(|e| e.record.lsn)
+            .collect();
+        assert_eq!(lsns, vec![0, 1]);
     }
 }

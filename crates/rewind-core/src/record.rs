@@ -24,7 +24,10 @@ pub enum RecordType {
     End,
     /// Deferred de-allocation of a block of persistent memory.
     Delete,
-    /// Marks a cache-consistent checkpoint (no-force policy).
+    /// Marks a cache-consistent checkpoint (no-force policy). Checkpoints
+    /// themselves truncate up to the log's append frontier and write none;
+    /// a marker found in a log belongs to no transaction and goes with the
+    /// next truncation.
     Checkpoint,
     /// Marks the start of a rollback (written by recovery when it finds an
     /// unfinished transaction, so that a crash during recovery resumes the
@@ -242,6 +245,19 @@ impl LogRecord {
         pool.write_u64_nt(addr.word(5), self.new);
         pool.write_u64_nt(addr.word(6), self.undo_next.offset());
         pool.write_u64_nt(addr.word(7), self.prev.offset());
+    }
+
+    /// The block a DELETE record at `addr` defers freeing, as `(block,
+    /// size)`, or `None` for any other record type. Reads one word unless
+    /// the record is a DELETE — all log truncation needs from most records.
+    pub(crate) fn deferred_free_at(pool: &NvmPool, addr: PAddr) -> Result<Option<(PAddr, usize)>> {
+        if RecordType::from_u64(pool.read_u64(addr.word(2)))? != RecordType::Delete {
+            return Ok(None);
+        }
+        Ok(Some((
+            PAddr::new(pool.read_u64(addr.word(3))),
+            pool.read_u64(addr.word(4)) as usize,
+        )))
     }
 
     /// Deserializes a record from NVM (volatile view).

@@ -107,9 +107,8 @@ impl TransactionManager {
         phase_mark(&self.obs, 0, &mut t_phase);
 
         // Phase 1: analysis. Besides transaction statuses and counters this
-        // rebuilds the volatile per-transaction slot registries (and the
-        // CHECKPOINT-marker slots) — the one full scan the registries are
-        // allowed to cost.
+        // rebuilds the volatile per-transaction slot registries — the one
+        // full scan the registries are allowed to cost.
         let records = self.all_records(true)?;
         report.scanned = records.len() as u64;
         let mut analysis = analyze_records(&records);
@@ -124,7 +123,6 @@ impl TransactionManager {
                 t.insert(*txid, analysis.take_entry(*txid, *status));
             }
         }
-        *self.ckpt_slots.lock() = analysis.markers;
         report.finished = table.values().filter(|s| **s == TxStatus::Finished).count() as u64;
         report.in_doubt = table.values().filter(|s| **s == TxStatus::Prepared).count() as u64;
         phase_mark(&self.obs, 1, &mut t_phase);
@@ -233,21 +231,16 @@ impl TransactionManager {
             report.log_cleared = report.in_doubt == 0;
         }
 
-        // Recovery leaves no running transactions behind. Under the force
-        // policy finished transactions are gone from the log, so their
-        // volatile table entries and the cached checkpoint-marker slots go
-        // with them; the two-layer index rediscovers finished transactions
-        // itself. Prepared (in-doubt) entries always stay — their rebuilt
-        // slot registries are what `commit_prepared` / `rollback_prepared`
-        // consume when the coordinator's decision arrives. Under one-layer
-        // no-force every other entry is now Finished and keeps its registry
-        // so the next checkpoint can clear its records without rescanning.
-        if self.cfg.policy == Policy::Force || matches!(self.backend, Backend::Two(_)) {
-            self.table
-                .lock()
-                .retain(|_, h| h.lock().status == TxStatus::Prepared);
-            self.ckpt_slots.lock().clear();
-        }
+        // Recovery leaves no running transactions behind, and finished
+        // ones need no table entry (force: their records are gone; no-force:
+        // the next checkpoint truncates them without per-transaction state).
+        // Prepared (in-doubt) entries stay — their rebuilt slot registries
+        // are what `commit_prepared` / `rollback_prepared` consume when the
+        // coordinator's decision arrives, and they pin their records against
+        // truncation until then.
+        self.table
+            .lock()
+            .retain(|_, h| h.lock().status == TxStatus::Prepared);
         phase_mark(&self.obs, 4, &mut t_phase);
         if let Some(t0) = t_total {
             let ns = t0.elapsed().as_nanos() as u64;

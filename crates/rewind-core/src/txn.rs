@@ -37,9 +37,22 @@ use std::sync::Arc;
 /// A transaction identifier.
 pub type TxId = u64;
 
+#[cfg(test)]
+thread_local! {
+    /// Runs once, on the appending thread, between a one-layer append and
+    /// the record's registration with its transaction.
+    pub(crate) static AFTER_APPEND: std::cell::RefCell<Option<Box<dyn FnMut()>>> =
+        const { std::cell::RefCell::new(None) };
+}
+
 /// Persistent root layout (inside the pool's user root region):
 /// `magic, fingerprint, log header, index root cell, index meta-log header`.
-const ROOT_MAGIC: u64 = 0x5245_5749_4e44_524f; // "REWINDRO"
+/// The magic names the layout of everything reachable from the root:
+/// buckets that own their records' slots and a two-word index root cell.
+const ROOT_MAGIC: u64 = 0x5245_5749_4e44_5232; // "REWINDR2"
+/// Magic of the earlier layout (records allocated apart from their buckets,
+/// a one-word index root cell). Such a pool is refused rather than misread.
+const ROOT_MAGIC_V1: u64 = 0x5245_5749_4e44_524f; // "REWINDRO"
 const ROOT_WORDS: u64 = 5;
 const RW_MAGIC: u64 = 0;
 const RW_FINGERPRINT: u64 = 1;
@@ -80,8 +93,6 @@ pub(crate) struct SlotRef {
     pub(crate) addr: PAddr,
     /// Record type, cached so clearing never touches NVM for non-DELETEs.
     pub(crate) rtype: RecordType,
-    /// Record LSN, cached for the checkpoint cut-off test.
-    pub(crate) lsn: u64,
 }
 
 /// Volatile transaction-table entry. Each entry is shared behind its own
@@ -112,14 +123,13 @@ impl TxEntry {
 pub(crate) type TxHandle = Arc<Mutex<TxEntry>>;
 
 /// What one pass over the log yields: per-transaction statuses and slot
-/// registries, leftover CHECKPOINT markers, and the counter high-water
-/// marks. Produced by [`analyze_records`]; consumed by crash recovery's
-/// analysis phase and by the clean-attach scan.
+/// registries, and the counter high-water marks. Produced by
+/// [`analyze_records`]; consumed by crash recovery's analysis phase and by
+/// the clean-attach scan.
 #[derive(Debug, Default)]
 pub(crate) struct LogAnalysis {
     pub(crate) statuses: HashMap<TxId, TxStatus>,
     pub(crate) registries: HashMap<TxId, Vec<SlotRef>>,
-    pub(crate) markers: Vec<SlotRef>,
     pub(crate) max_lsn: u64,
     pub(crate) max_txid: u64,
 }
@@ -138,25 +148,15 @@ impl LogAnalysis {
 }
 
 /// Derives transaction statuses (END → finished, ROLLBACK without END →
-/// aborted, otherwise running), one-layer slot registries and CHECKPOINT
-/// marker slots from a log scan. This is the single definition of the
-/// analysis both recovery and clean attach perform.
+/// aborted, otherwise running) and one-layer slot registries from a log
+/// scan (CHECKPOINT markers, which older logs may hold, belong to no
+/// transaction). This is the single definition of the analysis both
+/// recovery and clean attach perform.
 pub(crate) fn analyze_records(records: &[(RecordLocation, PAddr, LogRecord)]) -> LogAnalysis {
     let mut out = LogAnalysis::default();
     for (loc, addr, rec) in records {
         out.max_lsn = out.max_lsn.max(rec.lsn);
-        if rec.rtype == RecordType::Checkpoint {
-            if let RecordLocation::Slot(slot) = loc {
-                out.markers.push(SlotRef {
-                    slot: *slot,
-                    addr: *addr,
-                    rtype: rec.rtype,
-                    lsn: rec.lsn,
-                });
-            }
-            continue;
-        }
-        if rec.txid == u64::MAX {
+        if rec.rtype == RecordType::Checkpoint || rec.txid == u64::MAX {
             continue;
         }
         out.max_txid = out.max_txid.max(rec.txid);
@@ -179,7 +179,6 @@ pub(crate) fn analyze_records(records: &[(RecordLocation, PAddr, LogRecord)]) ->
                 slot: *slot,
                 addr: *addr,
                 rtype: rec.rtype,
-                lsn: rec.lsn,
             });
         }
     }
@@ -196,6 +195,7 @@ pub struct TmStats {
     pub(crate) read_only_finished: AtomicU64,
     pub(crate) records_logged: AtomicU64,
     pub(crate) checkpoints: AtomicU64,
+    pub(crate) truncated: AtomicU64,
     pub(crate) recoveries: AtomicU64,
 }
 
@@ -218,6 +218,8 @@ pub struct TmStatsSnapshot {
     pub records_logged: u64,
     /// Checkpoints taken.
     pub checkpoints: u64,
+    /// Log records removed by checkpoints (no-force truncation).
+    pub truncated: u64,
     /// Recoveries performed.
     pub recoveries: u64,
 }
@@ -234,6 +236,7 @@ impl TmStatsSnapshot {
             read_only_finished: self.read_only_finished + other.read_only_finished,
             records_logged: self.records_logged + other.records_logged,
             checkpoints: self.checkpoints + other.checkpoints,
+            truncated: self.truncated + other.truncated,
             recoveries: self.recoveries + other.recoveries,
         }
     }
@@ -258,14 +261,15 @@ pub struct TransactionManager {
     pub(crate) backend: Backend,
     pub(crate) next_txid: AtomicU64,
     pub(crate) next_lsn: AtomicU64,
+    /// Volatile transaction table. Holds every transaction that is not
+    /// finished; a finished transaction leaves it at once (force: after
+    /// clearing its records; no-force: at its END), so whatever is absent
+    /// is finished — the fact checkpoint truncation relies on.
     pub(crate) table: Mutex<HashMap<TxId, TxHandle>>,
-    /// Slots of CHECKPOINT marker records still in the one-layer log
-    /// (volatile; rebuilt by the recovery analysis scan). Checkpoints clear
-    /// superseded markers from here instead of rediscovering them by scan.
-    pub(crate) ckpt_slots: Mutex<Vec<SlotRef>>,
     pub(crate) stats: TmStats,
     /// Records appended since the last checkpoint (drives automatic
-    /// checkpointing under the no-force policy).
+    /// checkpointing under the no-force policy, inline or by an owner that
+    /// polls [`TransactionManager::records_since_checkpoint`]).
     pub(crate) records_since_checkpoint: AtomicU64,
     /// Report of the most recent recovery pass run by this manager, if any
     /// (surfaced so a multi-pool front-end can aggregate recovery work).
@@ -308,7 +312,6 @@ impl TransactionManager {
             next_txid: AtomicU64::new(1),
             next_lsn: AtomicU64::new(1),
             table: Mutex::new(HashMap::new()),
-            ckpt_slots: Mutex::new(Vec::new()),
             stats: TmStats::default(),
             records_since_checkpoint: AtomicU64::new(0),
             checkpoint_lock: Mutex::new(()),
@@ -330,8 +333,16 @@ impl TransactionManager {
     /// [`TransactionManager::open`] with an explicit observability handle.
     pub fn open_with_obs(pool: Arc<NvmPool>, cfg: RewindConfig, obs: Obs) -> Result<Self> {
         let root = pool.user_root();
-        if pool.read_u64(root.word(RW_MAGIC)) != ROOT_MAGIC {
-            return Self::create_with_obs(pool, cfg, obs);
+        match pool.read_u64(root.word(RW_MAGIC)) {
+            ROOT_MAGIC => {}
+            ROOT_MAGIC_V1 => {
+                return Err(RewindError::Corrupt {
+                    detail: "the pool holds a REWIND log in an earlier, incompatible layout \
+                             (root magic \"REWINDRO\"); it cannot be opened by this version"
+                        .into(),
+                })
+            }
+            _ => return Self::create_with_obs(pool, cfg, obs),
         }
         let stored = pool.read_u64(root.word(RW_FINGERPRINT));
         if stored != cfg.fingerprint() {
@@ -362,7 +373,6 @@ impl TransactionManager {
             next_txid: AtomicU64::new(1),
             next_lsn: AtomicU64::new(1),
             table: Mutex::new(HashMap::new()),
-            ckpt_slots: Mutex::new(Vec::new()),
             stats: TmStats::default(),
             records_since_checkpoint: AtomicU64::new(0),
             checkpoint_lock: Mutex::new(()),
@@ -419,29 +429,25 @@ impl TransactionManager {
 
     /// After a clean attach there is no recovery pass to discover the highest
     /// LSN/transaction id in the log, so scan for them explicitly. The same
-    /// scan registers any *finished* transactions still in the log (e.g. a
-    /// commit that raced the clean shutdown's checkpoint) and any leftover
-    /// CHECKPOINT markers, so the next checkpoint can clear them from the
-    /// registries; it also re-registers *prepared* (in-doubt) transactions so
-    /// a coordinator can still resolve them after a clean restart. Running
-    /// transactions stay unregistered, exactly as the scan-based checkpoint
-    /// (which only cleared ENDed transactions) treated them.
+    /// scan re-registers every transaction that is not finished: *prepared*
+    /// (in-doubt) ones so a coordinator can still resolve them after a clean
+    /// restart, and any left running or rolling back so their records stay
+    /// pinned against checkpoint truncation. Finished leftovers (e.g. a
+    /// commit that raced the clean shutdown's checkpoint) need no entry: the
+    /// next checkpoint removes them.
     fn bump_counters_past_log(&self) -> Result<()> {
         let records = self.all_records(false)?;
         let mut analysis = analyze_records(&records);
         self.next_lsn.store(analysis.max_lsn + 1, Ordering::SeqCst);
         self.next_txid
             .store(analysis.max_txid + 1, Ordering::SeqCst);
-        {
-            let statuses = std::mem::take(&mut analysis.statuses);
-            let mut table = self.table.lock();
-            for (txid, status) in statuses {
-                if status == TxStatus::Finished || status == TxStatus::Prepared {
-                    table.insert(txid, analysis.take_entry(txid, status));
-                }
+        let statuses = std::mem::take(&mut analysis.statuses);
+        let mut table = self.table.lock();
+        for (txid, status) in statuses {
+            if status != TxStatus::Finished {
+                table.insert(txid, analysis.take_entry(txid, status));
             }
         }
-        *self.ckpt_slots.lock() = analysis.markers;
         Ok(())
     }
 
@@ -483,8 +489,16 @@ impl TransactionManager {
             read_only_finished: self.stats.read_only_finished.load(Ordering::Relaxed),
             records_logged: self.stats.records_logged.load(Ordering::Relaxed),
             checkpoints: self.stats.checkpoints.load(Ordering::Relaxed),
+            truncated: self.stats.truncated.load(Ordering::Relaxed),
             recoveries: self.stats.recoveries.load(Ordering::Relaxed),
         }
+    }
+
+    /// Log records appended since the last checkpoint. An owner that drives
+    /// checkpoints itself (rather than through
+    /// [`RewindConfig::checkpoint_every`]'s inline trigger) polls this.
+    pub fn records_since_checkpoint(&self) -> u64 {
+        self.records_since_checkpoint.load(Ordering::Relaxed)
     }
 
     pub(crate) fn next_lsn(&self) -> u64 {
@@ -635,10 +649,20 @@ impl TransactionManager {
         }
         handle.lock().status = TxStatus::Finished;
         self.stats.committed.fetch_add(1, Ordering::Relaxed);
-        if self.cfg.policy == Policy::Force {
-            self.clear_with(tx, handle, true)?;
+        self.retire(tx, handle)
+    }
+
+    /// Retires a transaction that just finished: under force its records are
+    /// cleared now; under no-force they stay for checkpoint truncation, which
+    /// needs no per-transaction state, so only the table entry goes.
+    fn retire(&self, tx: TxId, handle: &TxHandle) -> Result<()> {
+        match self.cfg.policy {
+            Policy::Force => self.clear_with(tx, handle, true),
+            Policy::NoForce => {
+                self.table.lock().remove(&tx);
+                Ok(())
+            }
         }
-        Ok(())
     }
 
     /// Prepares transaction `tx` for a two-phase commit on behalf of a
@@ -808,10 +832,7 @@ impl TransactionManager {
         self.append_with(tx, Some(handle), &mut end)?;
         handle.lock().status = TxStatus::Finished;
         self.stats.rolled_back.fetch_add(1, Ordering::Relaxed);
-        if self.cfg.policy == Policy::Force {
-            self.clear_with(tx, handle, true)?;
-        }
-        Ok(())
+        self.retire(tx, handle)
     }
 
     /// Runs `f` inside a transaction: commits on `Ok`, rolls back on `Err`.
@@ -900,13 +921,21 @@ impl TransactionManager {
         self.obs.emit(EventKind::TxnAppend, tx, rec.lsn, 0);
         match &self.backend {
             Backend::One(log) => {
+                // Append and register under the handle lock: a checkpoint's
+                // pin snapshot (which takes the same lock) then never sees a
+                // record before the frontier that its transaction's registry
+                // lacks, and would truncate it.
+                let mut entry = handle.map(|h| h.lock());
                 let (addr, slot) = log.append(rec)?;
-                if let Some(h) = handle {
-                    h.lock().slots.push(SlotRef {
+                #[cfg(test)]
+                if let Some(mut hook) = AFTER_APPEND.take() {
+                    hook();
+                }
+                if let Some(e) = entry.as_mut() {
+                    e.slots.push(SlotRef {
                         slot,
                         addr,
                         rtype: rec.rtype,
-                        lsn: rec.lsn,
                     });
                 }
                 Ok(addr)
@@ -1048,15 +1077,15 @@ impl TransactionManager {
             }
             Backend::Two(index) => {
                 let records = index.records_of(tx)?;
-                for (_, rec) in &records {
+                index.remove_txn(tx)?;
+                // Memory goes only once the records are unreachable, so a
+                // crash in between leaks a block rather than freeing it
+                // twice. Record memory is owned by the manager in the
+                // two-layer configuration.
+                for (addr, rec) in records {
                     if process_deletes && rec.rtype == RecordType::Delete {
                         self.pool.free(rec.addr, rec.old as usize)?;
                     }
-                }
-                index.remove_txn(tx)?;
-                // Record memory is owned by the manager in the two-layer
-                // configuration; release it once the index entries are gone.
-                for (addr, _) in records {
                     self.pool.free(addr, RECORD_SIZE)?;
                 }
             }
@@ -1133,5 +1162,27 @@ impl Transaction<'_> {
     /// closure by returning an error the closure can propagate.
     pub fn abort<T>(&self, reason: &str) -> Result<T> {
         Err(RewindError::Aborted(reason.to_string()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{ROOT_MAGIC_V1, RW_MAGIC};
+    use crate::{RewindConfig, RewindError, TransactionManager};
+    use rewind_nvm::{NvmPool, PoolConfig};
+    use std::sync::Arc;
+
+    #[test]
+    fn a_pool_in_the_earlier_layout_is_refused() {
+        let pool = NvmPool::new(PoolConfig::small());
+        let tm = TransactionManager::create(Arc::clone(&pool), RewindConfig::batch()).unwrap();
+        drop(tm);
+        pool.write_u64_nt(pool.user_root().word(RW_MAGIC), ROOT_MAGIC_V1);
+        pool.sfence();
+        let err = TransactionManager::open(Arc::clone(&pool), RewindConfig::batch()).unwrap_err();
+        assert!(matches!(err, RewindError::Corrupt { .. }), "{err:?}");
+        // A pool without any REWIND root is still formatted on open.
+        let fresh = NvmPool::new(PoolConfig::small());
+        TransactionManager::open(fresh, RewindConfig::batch()).unwrap();
     }
 }

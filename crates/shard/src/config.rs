@@ -3,6 +3,12 @@
 use rewind_core::RewindConfig;
 use rewind_nvm::{CostModel, CrashMode};
 
+/// Default checkpoint interval of a shard's log, in log records (see
+/// [`ShardConfig::rewind`]). Each shard's log then holds at most about two
+/// intervals of records, so recovery scans and redoes one interval's work
+/// instead of the shard's whole history.
+pub const DEFAULT_CHECKPOINT_EVERY: u64 = 8192;
+
 /// How a sharded store is laid out and how its group-commit pipeline behaves.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardConfig {
@@ -11,6 +17,13 @@ pub struct ShardConfig {
     /// Capacity of each shard's NVM pool, in bytes.
     pub shard_capacity: usize,
     /// REWIND configuration every shard's transaction manager runs with.
+    ///
+    /// Its `checkpoint_every` drives the shard's checkpoints (no-force
+    /// policy only), but never inline in a transaction: the shard's
+    /// committer checks the record count after each group has been
+    /// delivered and takes the checkpoint with the shard lock released.
+    /// `None` leaves the log unbounded until an explicit
+    /// [`ShardedStore::checkpoint`](crate::ShardedStore::checkpoint).
     pub rewind: RewindConfig,
     /// Maximum number of queued operations committed as one group (one
     /// REWIND transaction). Larger groups amortize the commit protocol over
@@ -39,13 +52,14 @@ pub struct ShardConfig {
 impl ShardConfig {
     /// A store with `shards` shards and defaults matching the paper's
     /// evaluation substrate: 32 MiB pools, the Batch log under the no-force
-    /// policy, groups of up to 64 operations, paper NVM latencies.
+    /// policy checkpointed every [`DEFAULT_CHECKPOINT_EVERY`] records,
+    /// groups of up to 64 operations, paper NVM latencies.
     pub fn new(shards: usize) -> Self {
         assert!(shards >= 1, "a sharded store needs at least one shard");
         ShardConfig {
             shards,
             shard_capacity: 32 << 20,
-            rewind: RewindConfig::batch(),
+            rewind: RewindConfig::batch().checkpoint_every(DEFAULT_CHECKPOINT_EVERY),
             max_group: 64,
             group_wait_us: 40,
             queued_prepare: true,
@@ -120,6 +134,11 @@ mod tests {
             "queued prepare defaults on"
         );
         assert_eq!(ShardConfig::new(1).max_group(0).max_group, 1);
+        assert_eq!(
+            ShardConfig::new(1).rewind.checkpoint_every,
+            Some(DEFAULT_CHECKPOINT_EVERY),
+            "the shard log is bounded by default"
+        );
     }
 
     #[test]

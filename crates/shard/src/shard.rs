@@ -5,7 +5,9 @@
 use crate::config::ShardConfig;
 use crate::group::{Completion, GroupCommitStats, GroupQueue, Pending, WriteOp};
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use rewind_core::{RecoveryReport, Result, RewindError, TransactionManager, TxId};
+use rewind_core::{
+    Policy, RecoveryReport, Result, RewindConfig, RewindError, TransactionManager, TxId,
+};
 use rewind_nvm::{NvmPool, PAddr, PoolConfig};
 use rewind_obs::{EventKind, Obs};
 use rewind_pds::{Backing, PBTree, TxToken, Value};
@@ -23,6 +25,16 @@ const SW_MAGIC: u64 = 16;
 const SW_TREE_HEADER: u64 = 17;
 const SW_SHARD_ID: u64 = 18;
 const SW_SHARD_COUNT: u64 = 19;
+
+/// The configuration a shard's transaction manager runs with: the shard's
+/// REWIND configuration minus the inline checkpoint trigger, because the
+/// committer drives checkpoints itself (see [`ShardConfig::rewind`]).
+fn tm_config(cfg: &ShardConfig) -> RewindConfig {
+    RewindConfig {
+        checkpoint_every: None,
+        ..cfg.rewind
+    }
+}
 
 /// The live handles of a shard. Replaced wholesale by
 /// [`ShardCore::reopen`]; `open` is false between a power cycle and the
@@ -87,7 +99,7 @@ impl Shard {
     ) -> Result<Self> {
         let tm = Arc::new(TransactionManager::create_with_obs(
             Arc::clone(&pool),
-            cfg.rewind,
+            tm_config(&cfg),
             obs.clone(),
         )?);
         let tree = PBTree::create(Backing::rewind(Arc::clone(&tm)))?;
@@ -110,6 +122,7 @@ impl Shard {
             queue: Mutex::new(GroupQueue::default()),
             queue_cv: Condvar::new(),
             stats: GroupCommitStats::default(),
+            checkpoint_gate: Mutex::new(()),
             obs,
         })
     }
@@ -127,7 +140,7 @@ impl Shard {
     ) -> Result<Self> {
         let tm = Arc::new(TransactionManager::open_with_obs(
             Arc::clone(&pool),
-            cfg.rewind,
+            tm_config(&cfg),
             obs.clone(),
         )?);
         let header = ShardCore::validate_root(&pool, id, &cfg)?;
@@ -144,6 +157,7 @@ impl Shard {
             queue: Mutex::new(GroupQueue::default()),
             queue_cv: Condvar::new(),
             stats: GroupCommitStats::default(),
+            checkpoint_gate: Mutex::new(()),
             obs,
         })
     }
@@ -179,6 +193,11 @@ pub(crate) struct ShardCore {
     /// they wait, if at all, on their own [`Completion`]).
     queue_cv: Condvar,
     stats: GroupCommitStats,
+    /// Held by the committer for the whole of a checkpoint it takes outside
+    /// the shard lock, and by power cycles and reopens, so a checkpoint
+    /// never runs against a pool that is being cycled or a manager that is
+    /// being replaced. Lock order: this gate before the shard lock.
+    checkpoint_gate: Mutex<()>,
     /// Store-wide observability handle (shared with every other shard and
     /// the coordinator, so the trace rings merge into one timeline).
     obs: Obs,
@@ -206,6 +225,7 @@ impl ShardCore {
     /// Simulates a power failure on this shard's pool and takes it offline
     /// until [`ShardCore::reopen`] runs.
     pub(crate) fn power_cycle(&self) {
+        let _gate = self.checkpoint_gate.lock();
         let mut inner = self.inner.lock();
         inner.open = false;
         self.pool.power_cycle();
@@ -215,10 +235,11 @@ impl ShardCore {
     /// the pool was not shut down cleanly. Returns the recovery report, if a
     /// recovery pass ran.
     pub(crate) fn reopen(&self) -> Result<Option<RecoveryReport>> {
+        let _gate = self.checkpoint_gate.lock();
         let mut inner = self.inner.lock();
         let tm = Arc::new(TransactionManager::open_with_obs(
             Arc::clone(&self.pool),
-            self.cfg.rewind,
+            tm_config(&self.cfg),
             self.obs.clone(),
         )?);
         let header = Self::validate_root(&self.pool, self.id, &self.cfg)?;
@@ -253,6 +274,7 @@ impl ShardCore {
     /// Flushes and cleanly shuts down this shard (the next reopen skips
     /// recovery).
     pub(crate) fn shutdown(&self) -> Result<()> {
+        let _gate = self.checkpoint_gate.lock();
         let mut inner = self.inner.lock();
         self.check_open(&inner)?;
         inner.tm.shutdown()?;
@@ -310,6 +332,16 @@ impl ShardCore {
 
     pub(crate) fn tm_stats(&self) -> rewind_core::TmStatsSnapshot {
         self.inner.lock().tm.stats()
+    }
+
+    /// Live records in the shard's log (0 while the shard is offline).
+    pub(crate) fn log_records(&self) -> u64 {
+        let inner = self.inner.lock();
+        if inner.open {
+            inner.tm.log_len()
+        } else {
+            0
+        }
     }
 
     pub(crate) fn last_recovery(&self) -> Option<RecoveryReport> {
@@ -405,12 +437,13 @@ impl ShardCore {
                     claimed
                 })
                 .collect();
-            if !batch.is_empty() {
-                self.commit_group(&batch);
-            }
+            let checkpoint_due = !batch.is_empty() && self.commit_group(&batch);
             self.stats.inflight_sub(n as u64);
             if self.obs.is_enabled() {
                 self.obs.metrics().ops_in_flight.set(self.stats.inflight());
+            }
+            if checkpoint_due {
+                self.checkpoint_between_groups();
             }
             q = self.queue.lock();
             q.warm = q.warm || !q.ops.is_empty();
@@ -432,13 +465,17 @@ impl ShardCore {
     /// clearing failed), in which case the group survives recovery despite
     /// the error — the same at-least-once caveat every group-committed
     /// system has on a failed commit acknowledgement.
-    fn commit_group(&self, batch: &[Pending]) {
+    ///
+    /// Returns whether the log is due for a checkpoint, which the committer
+    /// takes once this group's results are delivered and the shard lock is
+    /// released.
+    fn commit_group(&self, batch: &[Pending]) -> bool {
         let inner = self.inner.lock();
         if !inner.open {
             for p in batch {
                 p.slot.deliver(Err(RewindError::Offline("shard")));
             }
-            return;
+            return false;
         }
         let tx = inner.tm.begin();
         let token = Some(TxToken(tx));
@@ -483,6 +520,38 @@ impl ShardCore {
                 for p in batch {
                     p.slot.deliver(Err(e.clone()));
                 }
+            }
+        }
+        let rewind = &self.cfg.rewind;
+        rewind.policy == Policy::NoForce
+            && rewind
+                .checkpoint_every
+                .is_some_and(|every| inner.tm.records_since_checkpoint() >= every)
+    }
+
+    /// Takes the checkpoint [`ShardCore::commit_group`] found due. Runs on
+    /// the committer between groups, outside the shard lock: readers, 2PC
+    /// participants and single-shard transactions proceed meanwhile (the
+    /// transaction manager's checkpoint tolerates concurrent transactions);
+    /// only the next group waits for it. A failed checkpoint leaves the log
+    /// longer, never wrong, and the next one retries.
+    fn checkpoint_between_groups(&self) {
+        let _gate = self.checkpoint_gate.lock();
+        let tm = {
+            let inner = self.inner.lock();
+            if !inner.open {
+                return;
+            }
+            Arc::clone(&inner.tm)
+        };
+        let t0 = self.obs.clock();
+        if let Ok(truncated) = tm.checkpoint() {
+            if t0.is_some() {
+                let m = self.obs.metrics();
+                m.checkpoint_ns.record(Obs::elapsed_ns(t0));
+                m.log_truncated.add(truncated);
+                self.obs
+                    .emit(EventKind::Checkpoint, 0, self.id as u64, truncated);
             }
         }
     }

@@ -699,6 +699,7 @@ impl ShardedStore {
         };
         for s in &per_shard {
             agg.entries += s.entries;
+            agg.log_records += s.log_records;
             agg.group = agg.group.merge(&s.group);
             agg.tm = agg.tm.merge(&s.tm);
             agg.nvm = agg.nvm.merge(&s.nvm);
@@ -721,6 +722,7 @@ impl ShardedStore {
             .map(|(id, s)| ShardSnapshot {
                 shard: id,
                 entries: s.len_or_zero(),
+                log_records: s.log_records(),
                 group: s.group_stats(),
                 tm: s.tm_stats(),
                 nvm: s.pool().stats(),
@@ -738,6 +740,10 @@ pub struct ShardSnapshot {
     pub shard: usize,
     /// Key/value pairs held (0 while the shard is offline).
     pub entries: u64,
+    /// Live records in the shard's REWIND log (0 while the shard is
+    /// offline). Checkpoints (`tm.checkpoints`, `tm.truncated`) keep it
+    /// bounded.
+    pub log_records: u64,
     /// Group-commit pipeline counters.
     pub group: GroupCommitSnapshot,
     /// Transaction-manager counters.
@@ -757,6 +763,8 @@ pub struct ShardStats {
     pub shards: usize,
     /// Total key/value pairs.
     pub entries: u64,
+    /// Total live log records across shards.
+    pub log_records: u64,
     /// Summed group-commit counters.
     pub group: GroupCommitSnapshot,
     /// Summed transaction-manager counters.
@@ -1297,6 +1305,48 @@ mod tests {
             store.stats().tm.prepared >= 4 * 20 * 2,
             "2PC ran throughout"
         );
+    }
+
+    #[test]
+    fn checkpoints_step_past_an_in_doubt_participant_without_losing_newer_writes() {
+        // Queued prepare's window, held open: a participant overwrote key 50,
+        // prepared and released its shard lock, but never wrote its END.
+        // Group commits then insert smaller keys into the same leaf, which
+        // shifts key 50's entry over the words the in-doubt transaction
+        // wrote, and the committer checkpoints after every group. The
+        // in-doubt records pin the log; truncation steps past them but must
+        // keep the newer shifts, or redo would write the in-doubt value over
+        // whichever entry moved into its place.
+        let store = ShardedStore::create(
+            ShardConfig::new(1)
+                .shard_capacity(8 << 20)
+                .rewind(rewind_core::RewindConfig::batch().checkpoint_every(8)),
+        )
+        .unwrap();
+        for k in (10..=80).step_by(10) {
+            store.put(k, val(k)).unwrap();
+        }
+        let shard = &store.shards[0];
+        let mut part = shard.join().unwrap();
+        part.put(50, val(5050)).unwrap();
+        part.prepare(77).unwrap();
+        drop(part.detach_for_commit());
+        let inserted: Vec<u64> = (41..50).chain(11..20).collect();
+        for &k in &inserted {
+            store.put(k, val(k)).unwrap();
+        }
+        let before = shard.tm_stats();
+        assert!(before.checkpoints >= 4, "the committer checkpointed");
+        assert!(before.truncated > 0, "checkpoints stepped past the pin");
+        store.power_cycle();
+        shard.reopen().unwrap();
+        let (tx, gtid) = shard.in_doubt().unwrap()[0];
+        assert_eq!(gtid, 77, "the participant is still in doubt");
+        assert!(shard.resolve_prepared(tx, true).unwrap());
+        assert_eq!(store.get(50).unwrap(), Some(val(5050)));
+        for k in (10..=80).step_by(10).filter(|&k| k != 50).chain(inserted) {
+            assert_eq!(store.get(k).unwrap(), Some(val(k)), "key {k}");
+        }
     }
 
     #[test]

@@ -332,3 +332,289 @@ fn recovery_report_aggregates_across_shards() {
     );
     assert!(merged.log_cleared);
 }
+
+/// A no-force shard configuration that checkpoints every `every` records,
+/// with small buckets and groups so a short run takes many checkpoints and
+/// unlinks many whole buckets.
+fn checkpointing_cfg(every: u64) -> ShardConfig {
+    ShardConfig::new(2)
+        .shard_capacity(8 << 20)
+        .max_group(4)
+        .rewind(
+            RewindConfig::batch()
+                .bucket_size(16)
+                .checkpoint_every(every),
+        )
+}
+
+/// The value a checkpoint-matrix write stores: key and version, checkable.
+fn versioned(key: u64, version: u64) -> Value {
+    [key, version, key ^ version.rotate_left(17), !version]
+}
+
+/// Overwrites a few keys over and over through blocking puts; returns, per
+/// key, the last version acknowledged while the key's shard was live and
+/// every version written after it.
+fn overwrite_burst(store: &ShardedStore, keys: u64, writes: u64) -> HashMap<u64, (u64, Vec<u64>)> {
+    let mut seen: HashMap<u64, (u64, Vec<u64>)> = HashMap::new();
+    for version in 1..=writes {
+        let k = version % keys;
+        let ok = store.put(k, versioned(k, version)).is_ok();
+        let live = !store
+            .shard_pool(store.shard_of(k))
+            .crash_injector()
+            .is_frozen();
+        let entry = seen.entry(k).or_insert((0, Vec::new()));
+        if ok && live {
+            *entry = (version, Vec::new());
+        } else {
+            entry.1.push(version);
+        }
+    }
+    seen
+}
+
+#[test]
+fn crashes_inside_automatic_checkpoints_keep_every_acked_write() {
+    // No-force shards checkpoint every 48 records, so the crash sweep lands
+    // inside checkpoints (cache flush and log truncation) as well as inside
+    // commit groups. Keys are overwritten again and again: a truncation that
+    // left an older record behind a newer removed one would surface as a
+    // stale version after redo.
+    let (keys, writes) = (12u64, 240u64);
+    let victim = 0;
+    let events = |every: Option<u64>| {
+        let mut cfg = checkpointing_cfg(48);
+        cfg.rewind.checkpoint_every = every;
+        let store = ShardedStore::create(cfg).unwrap();
+        let before = store.shard_pool(victim).crash_injector().observed_events();
+        overwrite_burst(&store, keys, writes);
+        // Blocking puts return before the committer's checkpoint does;
+        // power_cycle waits it out, after which the count is final.
+        store.power_cycle();
+        let after = store.shard_pool(victim).crash_injector().observed_events();
+        (
+            after - before,
+            store.per_shard_stats()[victim].tm.checkpoints,
+        )
+    };
+    let (window, checkpoints) = events(Some(48));
+    let (plain, _) = events(None);
+    assert!(checkpoints >= 5, "only {checkpoints} automatic checkpoints");
+    // Checkpoints issue `window - plain` of the victim's persist events;
+    // the sweep must put several crash points among them.
+    let step = (window / 80).max(1);
+    assert!(
+        window.saturating_sub(plain) >= 4 * step,
+        "checkpoints issue too few of the {window} persist events to be swept"
+    );
+    let seed = crash_seed();
+    let mut crash_at = 1 + seed % step;
+    while crash_at <= window {
+        let store = ShardedStore::create(checkpointing_cfg(48)).unwrap();
+        store
+            .shard_pool(victim)
+            .crash_injector()
+            .arm_after(crash_at);
+        let seen = overwrite_burst(&store, keys, writes);
+        store.power_cycle();
+        store.recover().unwrap();
+        for (k, (acked, later)) in &seen {
+            let got = store.get(*k).unwrap();
+            let version = got.map(|v| {
+                assert_eq!(v, versioned(*k, v[1]), "torn value for key {k}");
+                v[1]
+            });
+            let ok = match version {
+                Some(v) => v == *acked || later.contains(&v),
+                None => *acked == 0,
+            };
+            if !ok {
+                dump_trace(&store, "checkpoint-crash-matrix");
+            }
+            assert!(
+                ok,
+                "REWIND_CRASH_SEED={seed} crash_at {crash_at}/{window}: key {k} \
+                 recovered version {version:?}, last acked {acked}, later {later:?}"
+            );
+        }
+        crash_at += step;
+    }
+}
+
+#[test]
+fn checkpoints_behind_in_doubt_transactions_keep_every_write() {
+    // Cross-shard transfers (two-phase, queued prepare) and group-committed
+    // puts share both shards while each committer checkpoints every 16
+    // records, so checkpoints find prepared participants in the log and
+    // must leave their records pinned. The puts insert keys between the
+    // accounts, into the leaves the transfers write. Crash at points across
+    // the run; after recovery every transfer is all-or-nothing (the total
+    // is conserved) and every acked put reads back. The exact interleaving
+    // where a checkpoint steps past an in-doubt participant whose words a
+    // later group overwrote is pinned down deterministically by the store
+    // unit test `checkpoints_step_past_an_in_doubt_participant_...`.
+    let accounts: Vec<u64> = (1..=8).map(|a| a * 100).collect();
+    let total = 100 * accounts.len() as u64;
+    let balance = |v: Option<Value>| v.map_or(0, |v| v[0]);
+    let run = |crash_at: Option<u64>| -> (ShardedStore, Vec<u64>) {
+        let store = ShardedStore::create(checkpointing_cfg(16).queued_prepare(true)).unwrap();
+        for &a in &accounts {
+            store.put(a, [100, a, 0, 0]).unwrap();
+        }
+        if let Some(n) = crash_at {
+            store.shard_pool(1).crash_injector().arm_after(n);
+        }
+        let acked = std::thread::scope(|s| {
+            let store = &store;
+            let accounts = &accounts;
+            s.spawn(move || {
+                for i in 0..150u64 {
+                    let (a, b) = (
+                        accounts[(i % 8) as usize],
+                        accounts[((i * 5 + 1) % 8) as usize],
+                    );
+                    if a == b {
+                        continue;
+                    }
+                    let _ = store.transact_keys(&[a, b], |tx| {
+                        let (va, vb) = (tx.get(a)?.unwrap(), tx.get(b)?.unwrap());
+                        tx.put(a, [va[0] - 1, a, i, 0])?;
+                        tx.put(b, [vb[0] + 1, b, i, 0])
+                    });
+                }
+            });
+            let mut acked = Vec::new();
+            for k in (0..400u64).map(|i| 100 * (1 + i % 8) + 1 + i / 8) {
+                if store.put(k, versioned(k, 1)).is_ok()
+                    && !store
+                        .shard_pool(store.shard_of(k))
+                        .crash_injector()
+                        .is_frozen()
+                {
+                    acked.push(k);
+                }
+            }
+            acked
+        });
+        (store, acked)
+    };
+    let (store, _) = run(None);
+    let window = store.shard_pool(1).crash_injector().observed_events();
+    let stats = store.stats();
+    assert!(
+        stats.tm.prepared > 0,
+        "no transfer went through two-phase commit"
+    );
+    assert!(stats.tm.checkpoints >= 5, "too few automatic checkpoints");
+    drop(store);
+    let seed = crash_seed();
+    let step = (window / 12).max(1);
+    for crash_at in (1 + seed % step..window).step_by(step as usize) {
+        let (store, acked) = run(Some(crash_at));
+        store.power_cycle();
+        store.recover().unwrap();
+        let sum: u64 = accounts
+            .iter()
+            .map(|&a| balance(store.get(a).unwrap()))
+            .sum();
+        assert_eq!(
+            sum, total,
+            "REWIND_CRASH_SEED={seed} crash_at {crash_at}/{window}: transfers not atomic"
+        );
+        for k in acked {
+            assert_eq!(
+                store.get(k).unwrap(),
+                Some(versioned(k, 1)),
+                "REWIND_CRASH_SEED={seed} crash_at {crash_at}: acked put {k} lost"
+            );
+        }
+    }
+}
+
+#[test]
+fn committer_checkpoints_bound_the_log() {
+    // Ten checkpoint intervals' worth of group-committed puts (per shard):
+    // each shard's live log never exceeds two intervals plus one group's
+    // records, and the next recovery scans no more than that.
+    let every = 256u64;
+    let shards = 2;
+    let store = ShardedStore::create(
+        ShardConfig::new(shards)
+            .shard_capacity(16 << 20)
+            .rewind(RewindConfig::batch().checkpoint_every(every)),
+    )
+    .unwrap();
+    store.obs().set_enabled(true);
+    let mut peak = vec![0u64; shards];
+    let mut key = 0u64;
+    for _ in 0..(10 * every * shards as u64).div_ceil(64) {
+        let window: Vec<_> = (0..64)
+            .map(|_| {
+                key += 1;
+                store.submit_put(key, val(key))
+            })
+            .collect();
+        for c in window {
+            c.wait().unwrap();
+        }
+        for s in store.per_shard_stats() {
+            peak[s.shard] = peak[s.shard].max(s.log_records);
+        }
+    }
+    // The power cycle waits out a checkpoint still running on a committer,
+    // so the counters below are final (the crashed managers keep theirs
+    // until recovery replaces them).
+    store.power_cycle();
+    let stats = store.stats();
+    assert!(stats.group.ops_committed >= 10 * every * shards as u64);
+    let records_per_op = stats.tm.records_logged.div_ceil(stats.group.ops_committed);
+    let bound = 2 * every + stats.group.largest_group * records_per_op;
+    for s in store.per_shard_stats() {
+        assert!(
+            s.tm.checkpoints >= 5,
+            "shard {}: {} checkpoints",
+            s.shard,
+            s.tm.checkpoints
+        );
+        assert!(s.tm.truncated > 0, "shard {} truncated nothing", s.shard);
+        assert!(
+            peak[s.shard] <= bound,
+            "shard {}: {} live records, bound {bound}",
+            s.shard,
+            peak[s.shard]
+        );
+    }
+    let obs = store.obs().metrics_snapshot();
+    assert_eq!(
+        obs.checkpoint_ns.count, stats.tm.checkpoints,
+        "every checkpoint timed"
+    );
+    assert_eq!(obs.log_truncated, stats.tm.truncated);
+    let traced: Vec<u64> = store
+        .obs()
+        .dump()
+        .events
+        .iter()
+        .filter(|e| e.kind == rewind::obs::EventKind::Checkpoint)
+        .map(|e| e.a)
+        .collect();
+    for shard in 0..shards as u64 {
+        assert!(
+            traced.contains(&shard),
+            "no checkpoint event for shard {shard}"
+        );
+    }
+    store.recover().unwrap();
+    for s in store.per_shard_stats() {
+        let scanned = s.last_recovery.expect("shard recovered").scanned;
+        assert!(
+            scanned <= bound,
+            "shard {}: recovery scanned {scanned}, bound {bound}",
+            s.shard
+        );
+    }
+    for k in 1..=key {
+        assert_eq!(store.get(k).unwrap(), Some(val(k)));
+    }
+}
