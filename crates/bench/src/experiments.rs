@@ -1812,19 +1812,12 @@ pub fn net_bench(scale: f64) {
     json.summary("net_p50_us", p50_us);
     json.summary("net_p99_us", p99_us);
 
-    // Part 3: connection churn — fresh socket per burst — on both backends.
-    // The default backend's numbers feed the perf gate; the PR-10 leak made
-    // exactly this workload degrade as the retained per-connection state
-    // piled up.
+    // Part 3: connection churn — fresh socket per burst. The PR-10 leak
+    // made exactly this workload degrade as retained per-connection state
+    // piled up; its numbers feed the perf gate.
     header(
         "Connection churn: connect -> 8-req burst -> close, 4 workers",
-        &[
-            "backend",
-            "opened",
-            "errors",
-            "cycle_p50_us",
-            "cycle_p99_us",
-        ],
+        &["opened", "errors", "cycle_p50_us", "cycle_p99_us"],
     );
     let churn_cfg = rewind_net::ChurnConfig {
         cycles: scaled(150, scale, 30) as usize,
@@ -1832,49 +1825,30 @@ pub fn net_bench(scale: f64) {
         threads: 4,
         ..rewind_net::ChurnConfig::default()
     };
-    let threaded_server = NetServer::start(
-        Arc::clone(&store),
-        ServerConfig::default().mode(rewind_net::ServerMode::ThreadPerConn),
-    )
-    .expect("bind threaded server");
-    for (label, gated, target) in [
-        ("default", true, &server),
-        ("thread-per-conn", false, &threaded_server),
-    ] {
-        let churn = rewind_net::run_churn(target.local_addr(), &churn_cfg).expect("run churn");
-        assert_eq!(churn.connect_failures, 0, "churn connects must succeed");
-        assert_eq!(churn.errors, 0, "churn must not observe errors");
-        let cycle_p50_us = churn.cycle_latency.percentile(0.50) as f64 / 1e3;
-        let cycle_p99_us = churn.cycle_latency.percentile(0.99) as f64 / 1e3;
-        let backend = if target.is_reactor() {
-            format!("{label} (reactor)")
-        } else {
-            format!("{label} (threaded)")
-        };
-        row(&[
-            backend,
-            churn.opened.to_string(),
-            churn.errors.to_string(),
-            f(cycle_p50_us),
-            f(cycle_p99_us),
-        ]);
-        json.row(&[
-            ("reactor", target.is_reactor() as u64 as f64),
-            ("opened", churn.opened as f64),
-            ("errors", churn.errors as f64),
-            ("cycle_p50_us", cycle_p50_us),
-            ("cycle_p99_us", cycle_p99_us),
-        ]);
-        if gated {
-            json.summary("net_churn_conns", churn.opened as f64);
-            json.summary("net_churn_p99_us", cycle_p99_us);
-        }
-    }
-    drop(threaded_server);
+    let churn = rewind_net::run_churn(addr, &churn_cfg).expect("run churn");
+    assert_eq!(churn.connect_failures, 0, "churn connects must succeed");
+    assert_eq!(churn.errors, 0, "churn must not observe errors");
+    let cycle_p50_us = churn.cycle_latency.percentile(0.50) as f64 / 1e3;
+    let cycle_p99_us = churn.cycle_latency.percentile(0.99) as f64 / 1e3;
+    row(&[
+        churn.opened.to_string(),
+        churn.errors.to_string(),
+        f(cycle_p50_us),
+        f(cycle_p99_us),
+    ]);
+    json.row(&[
+        ("opened", churn.opened as f64),
+        ("errors", churn.errors as f64),
+        ("cycle_p50_us", cycle_p50_us),
+        ("cycle_p99_us", cycle_p99_us),
+    ]);
+    json.summary("net_churn_conns", churn.opened as f64);
+    json.summary("net_churn_p99_us", cycle_p99_us);
 
-    // Part 4: hold 1000 real sockets open at once on the default backend
-    // and verify they all get service from a thread pool whose size does
-    // not move. `net_open_sockets` is a gated floor.
+    // Part 4: hold 1000 real sockets open at once and verify they all get
+    // service from a thread pool whose size does not move.
+    // `net_open_sockets` is a gated floor, `net_server_threads` a gated
+    // ceiling.
     let mut held = Vec::with_capacity(1000);
     for _ in 0..1000u64 {
         held.push(NetClient::connect(addr).expect("connect held socket"));
@@ -1889,13 +1863,12 @@ pub fn net_bench(scale: f64) {
         c.put(k, value_from_seed(k)).expect("put on held socket");
     }
     header(
-        "Held-socket population (default backend)",
-        &["open_sockets", "server_threads", "reactor"],
+        "Held-socket population",
+        &["open_sockets", "server_threads"],
     );
     row(&[
         open_sockets.to_string(),
         server.tracked_threads().to_string(),
-        server.is_reactor().to_string(),
     ]);
     json.summary("net_open_sockets", open_sockets as f64);
     json.summary("net_server_threads", server.tracked_threads() as f64);

@@ -1,10 +1,11 @@
 //! `rewind-net`: the REWIND store on the wire.
 //!
 //! A pipelined, length-prefixed binary protocol ([`protocol`]) served over
-//! TCP ([`NetServer`]), a client SDK ([`NetClient`] blocking,
-//! [`PipelinedClient`] many-in-flight), and an open-loop load simulator
-//! ([`run_sim`]) that drives tens of thousands of logical connections over
-//! a few real sockets.
+//! TCP ([`NetServer`], an epoll reactor: a fixed pool of event-loop
+//! threads, whatever the number of connections), a client SDK
+//! ([`NetClient`] blocking, [`PipelinedClient`] many-in-flight), and an
+//! open-loop load simulator ([`run_sim`]) that drives tens of thousands of
+//! logical connections over a few real sockets.
 //!
 //! The server is a thin adapter: it does not reimplement any storage
 //! semantics. Reads go straight to [`ShardedStore::get`] / `scan`; writes
@@ -19,6 +20,13 @@
 //! in-flight window and the server watches the store's own in-flight depth
 //! (the `group_queue_depth` quantity); requests beyond either bound get a
 //! typed `BUSY` response and nothing else happens. See [`ServerConfig`].
+//!
+//! A peer that half-closes its socket, or sends a malformed frame, still
+//! gets an answer to every request the server read before that point; then
+//! the server closes the connection.
+//!
+//! The server is built on `epoll` and `eventfd`, so this crate is
+//! Linux-only.
 //!
 //! ```no_run
 //! use rewind_net::{NetClient, NetServer, ServerConfig};
@@ -38,14 +46,13 @@
 
 pub mod client;
 pub mod protocol;
-#[cfg(all(feature = "reactor", target_os = "linux"))]
 mod reactor;
 pub mod server;
 pub mod sim;
 
 pub use client::{NetClient, NetCompletion, NetError, PipeStats, PipelinedClient};
 pub use protocol::{BusyReason, FrameError, Request, Response, MAX_FRAME, MAX_SCAN_LIMIT};
-pub use server::{NetServer, ServerConfig, ServerMode};
+pub use server::{NetServer, ServerConfig};
 pub use sim::{run_churn, run_sim, ChurnConfig, ChurnReport, SimConfig, SimReport};
 
 #[cfg(test)]
@@ -194,38 +201,6 @@ mod tests {
         let (id, resp) = protocol::read_response(&mut reader).unwrap().unwrap();
         assert_eq!(id, 78);
         assert_eq!(resp, Response::Value(None));
-    }
-
-    #[test]
-    fn both_backends_start_on_request_and_report_their_mode() {
-        let store =
-            Arc::new(ShardedStore::create(ShardConfig::new(1).shard_capacity(4 << 20)).unwrap());
-        let threaded = NetServer::start(
-            Arc::clone(&store),
-            ServerConfig::default().mode(ServerMode::ThreadPerConn),
-        )
-        .unwrap();
-        assert!(!threaded.is_reactor());
-        let mut c = NetClient::connect(threaded.local_addr()).unwrap();
-        c.put(1, [1; 4]).unwrap();
-        assert_eq!(c.get(1).unwrap(), Some([1; 4]));
-        drop(c);
-        let explicit = NetServer::start(
-            Arc::clone(&store),
-            ServerConfig::default().mode(ServerMode::Reactor),
-        );
-        #[cfg(all(feature = "reactor", target_os = "linux"))]
-        {
-            let r = explicit.unwrap();
-            assert!(r.is_reactor());
-            let mut c = NetClient::connect(r.local_addr()).unwrap();
-            assert_eq!(c.get(1).unwrap(), Some([1; 4]));
-        }
-        #[cfg(not(all(feature = "reactor", target_os = "linux")))]
-        match explicit {
-            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::Unsupported),
-            Ok(_) => panic!("explicit reactor mode must fail when not compiled in"),
-        }
     }
 
     #[test]

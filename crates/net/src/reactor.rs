@@ -1,10 +1,9 @@
-//! The epoll readiness reactor: a fixed pool of event-loop threads serving
-//! every connection, replacing the thread-per-connection reader + settler
-//! pair.
+//! The epoll readiness reactor behind [`NetServer`](crate::NetServer): a
+//! fixed pool of event-loop threads serving every connection.
 //!
-//! One blocking accept thread round-robins accepted sockets across
-//! `reactor_threads` event loops. Each loop owns a slab of connection
-//! states — an accumulation buffer fed to the incremental frame decoder
+//! The accept thread (in [`crate::server`]) hands each accepted socket to
+//! one loop. Each loop owns a slab of connection states — an accumulation
+//! buffer fed to the incremental frame decoder
 //! ([`protocol::decode_request`]), a pending-response write buffer flushed
 //! in one coalesced write per readiness cycle, and the per-connection
 //! in-flight window — and multiplexes all of them over a single `epoll`
@@ -13,7 +12,9 @@
 //! [`on_settle`] callback, so **no thread ever blocks on a completion**:
 //! when the commit group settles, the callback (running on a committer
 //! thread) encodes the response, pushes it to the owning loop's inbox, and
-//! rings that loop's eventfd to wake its `epoll_wait`.
+//! rings that loop's eventfd to wake its `epoll_wait`. The loop thread takes
+//! the write out of the window when it routes the response, so the window
+//! is a plain counter owned by that thread.
 //!
 //! Slab slots are guarded by a per-connection generation counter: a settle
 //! message for a connection that died (and whose slot was reused) carries a
@@ -22,33 +23,35 @@
 //! a cycle, never mid-batch, so a readiness record can never observe a slot
 //! that changed hands inside its own `epoll_wait` batch.
 //!
-//! Admission control, BUSY semantics, acked-durability, and the
-//! observability surface (`NetAccept`‥`NetClose` events, `net_op_ns`,
-//! `net_connections`, `net_busy`) are identical to the thread-per-connection
-//! server in [`crate::server`].
-//!
 //! Slow readers get explicit backpressure: reads bypass admission control,
 //! so once a connection's pending-response backlog crosses
 //! [`WBUF_HIGH_WATER`] the loop disarms `EPOLLIN` and stops decoding its
 //! buffered requests (TCP flow control then pushes back on the client);
 //! decoding resumes from the buffered bytes when the backlog drains below
-//! [`WBUF_LOW_WATER`]. The threaded backend gets the equivalent for free
-//! from its blocking writes.
+//! [`WBUF_LOW_WATER`].
 //!
+//! A peer's EOF or a malformed frame ends a connection's read side: the
+//! loop disarms `EPOLLIN|EPOLLRDHUP` and decodes nothing past that point,
+//! but keeps flushing, and closes the slot only once no write is in flight
+//! and every response has left the buffer — every request it read gets its
+//! answer. A reset or errored socket (`EPOLLHUP`/`EPOLLERR`) can take no
+//! more responses and closes at once; its in-flight writes still settle in
+//! the store.
+//!
+//! [`protocol::decode_request`]: crate::protocol::decode_request
 //! [`on_settle`]: rewind_shard::Completion::on_settle
 
 use crate::protocol::{
     decode_request, encode_response, BusyReason, Request, Response, MAX_SCAN_LIMIT,
 };
-use crate::server::ServerConfig;
+use crate::server::ServerShared;
 use parking_lot::Mutex;
 use rewind_obs::EventKind;
-use rewind_shard::ShardedStore;
 use rewind_sys as sys;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::os::unix::io::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -66,8 +69,7 @@ const WBUF_COMPACT: usize = 64 * 1024;
 /// is disarmed and already-buffered request bytes stay undecoded. Reads
 /// (GET/SCAN) are answered inline and bypass admission control, so without
 /// this a client that pipelines requests but never drains responses grows
-/// `wbuf` without bound — the threaded backend got the same backpressure
-/// for free from its blocking writes.
+/// `wbuf` without bound.
 const WBUF_HIGH_WATER: usize = 256 * 1024;
 /// Backlog level at which a stalled connection resumes reading/decoding.
 const WBUF_LOW_WATER: usize = 64 * 1024;
@@ -220,30 +222,28 @@ struct Inbox {
 }
 
 /// The handle other threads use to hand work to one event loop.
-struct LoopShared {
-    wake: EventFd,
+pub(crate) struct LoopShared {
+    efd: EventFd,
     inbox: Mutex<Inbox>,
 }
 
-/// State shared by the accept thread, every event loop, and the server
-/// handle.
-struct ReactorShared {
-    store: Arc<ShardedStore>,
-    cfg: ServerConfig,
-    stop: AtomicBool,
-    next_conn: AtomicU64,
-    /// Accepted-and-not-yet-closed connections (the `net_connections`
-    /// quantity, kept as an atomic so churn tests can read it directly).
-    open_conns: AtomicUsize,
-    /// Slab-resident connection states across all loops; proves the slabs
-    /// don't leak entries under churn.
-    live_conns: AtomicUsize,
+impl LoopShared {
+    /// Gives an accepted socket to this loop, which adopts it at the top of
+    /// its next cycle.
+    pub(crate) fn hand_off(&self, sock: TcpStream, conn_id: u64) {
+        self.inbox.lock().new_conns.push((sock, conn_id));
+        self.efd.ring();
+    }
+
+    /// Wakes the loop so it rechecks the server's stop flag.
+    pub(crate) fn wake(&self) {
+        self.efd.ring();
+    }
 }
 
 /// Everything an in-flight write needs to settle back to its event loop.
 struct SettleCtx {
     lshared: Arc<LoopShared>,
-    inflight: Arc<AtomicUsize>,
     slot: usize,
     gen: u64,
     id: u64,
@@ -254,7 +254,6 @@ impl SettleCtx {
     /// Runs on a committer thread (or inline on the loop thread when the
     /// completion had already settled): encode, enqueue, wake.
     fn deliver(self, resp: &Response) {
-        self.inflight.fetch_sub(1, Ordering::Release);
         let frame = encode_response(self.id, resp);
         self.lshared.inbox.lock().settled.push(Settled {
             slot: self.slot,
@@ -263,172 +262,68 @@ impl SettleCtx {
             frame,
             t0: self.t0,
         });
-        self.lshared.wake.ring();
+        self.lshared.wake();
     }
 }
 
-// ---------------------------------------------------------------------------
-// The reactor proper.
-// ---------------------------------------------------------------------------
-
-/// A running epoll-backed server: accept thread + `reactor_threads` event
-/// loops. Constructed through [`crate::NetServer::start`].
-pub(crate) struct Reactor {
-    shared: Arc<ReactorShared>,
-    loops: Vec<Arc<LoopShared>>,
-    addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
-    threads: Vec<JoinHandle<()>>,
-}
-
-impl Reactor {
-    pub(crate) fn start(store: Arc<ShardedStore>, cfg: ServerConfig) -> io::Result<Reactor> {
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
-        let n_loops = cfg.reactor_threads.max(1);
-        let shared = Arc::new(ReactorShared {
-            store,
-            cfg,
-            stop: AtomicBool::new(false),
-            next_conn: AtomicU64::new(0),
-            open_conns: AtomicUsize::new(0),
-            live_conns: AtomicUsize::new(0),
-        });
-        let mut loops = Vec::with_capacity(n_loops);
-        let mut threads = Vec::with_capacity(n_loops);
-        for i in 0..n_loops {
-            let lshared = Arc::new(LoopShared {
-                wake: EventFd::new()?,
-                inbox: Mutex::new(Inbox::default()),
-            });
-            let ep = Epoll::new()?;
-            ep.add(lshared.wake.fd, sys::EPOLLIN, WAKE_TOKEN)?;
-            loops.push(Arc::clone(&lshared));
-            let shared = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("net-loop-{i}"))
-                    .spawn(move || {
-                        EventLoop {
-                            shared,
-                            lshared,
-                            ep,
-                            conns: Vec::new(),
-                            free: Vec::new(),
-                            next_gen: 1,
-                        }
-                        .run()
-                    })?,
-            );
-        }
-        let accept = {
-            let shared = Arc::clone(&shared);
-            let loops = loops.clone();
-            std::thread::Builder::new()
-                .name("net-accept".to_string())
-                .spawn(move || accept_loop(listener, shared, loops))?
-        };
-        Ok(Reactor {
-            shared,
-            loops,
-            addr,
-            accept: Some(accept),
-            threads,
-        })
-    }
-
-    pub(crate) fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Accepted-and-not-yet-closed connections.
-    pub(crate) fn open_connections(&self) -> usize {
-        self.shared.open_conns.load(Ordering::Relaxed)
-    }
-
-    /// Connection states resident in the loop slabs (leak canary).
-    pub(crate) fn tracked_conns(&self) -> usize {
-        self.shared.live_conns.load(Ordering::Relaxed)
-    }
-
-    /// Server threads in total: the fixed loop pool plus the acceptor —
-    /// independent of how many connections are open.
-    pub(crate) fn thread_count(&self) -> usize {
-        self.threads.len() + 1
-    }
-
-    pub(crate) fn shutdown(&mut self) {
-        if self.shared.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Unblock the acceptor with a throwaway connection, then wake every
-        // loop so each sees the stop flag and tears down its slab.
-        let _ = TcpStream::connect(self.addr);
-        for l in &self.loops {
-            l.wake.ring();
-        }
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        for h in self.threads.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for Reactor {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn accept_loop(listener: TcpListener, shared: Arc<ReactorShared>, loops: Vec<Arc<LoopShared>>) {
-    let mut rr = 0usize;
-    loop {
-        let stream = match listener.accept() {
-            Ok((s, _)) => s,
-            Err(_) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                // EMFILE/ENFILE under fd exhaustion is persistent — retrying
-                // immediately spins this thread at 100% CPU until fds free
-                // up. Back off briefly; shutdown still gets through because
-                // it sets `stop` before the wakeup connect.
-                std::thread::sleep(std::time::Duration::from_millis(25));
-                continue;
+/// Starts event loop `i` of a server; returns the handle the accept thread
+/// and shutdown use to reach it, and its thread.
+pub(crate) fn spawn_loop(
+    i: usize,
+    shared: Arc<ServerShared>,
+) -> io::Result<(Arc<LoopShared>, JoinHandle<()>)> {
+    let lshared = Arc::new(LoopShared {
+        efd: EventFd::new()?,
+        inbox: Mutex::new(Inbox::default()),
+    });
+    let ep = Epoll::new()?;
+    ep.add(lshared.efd.fd, sys::EPOLLIN, WAKE_TOKEN)?;
+    let cx = LoopCtx {
+        shared,
+        lshared: Arc::clone(&lshared),
+        ep,
+    };
+    let thread = std::thread::Builder::new()
+        .name(format!("net-loop-{i}"))
+        .spawn(move || {
+            EventLoop {
+                cx,
+                conns: Vec::new(),
+                free: Vec::new(),
+                next_gen: 1,
             }
-        };
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        // Responses are small frames written as they settle; Nagle would
-        // batch them against the client's delayed ACKs and stall pipelines.
-        let _ = stream.set_nodelay(true);
-        let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
-        let obs = shared.store.obs();
-        obs.emit(EventKind::NetAccept, 0, conn_id, 0);
-        shared.open_conns.fetch_add(1, Ordering::Relaxed);
-        obs.metrics().net_connections.incr();
-        let l = &loops[rr % loops.len()];
-        rr = rr.wrapping_add(1);
-        l.inbox.lock().new_conns.push((stream, conn_id));
-        l.wake.ring();
-    }
+            .run()
+        })?;
+    Ok((lshared, thread))
+}
+
+// ---------------------------------------------------------------------------
+// The event loop proper.
+// ---------------------------------------------------------------------------
+
+/// What a connection needs from its loop while it reads, dispatches and
+/// flushes; kept apart from the slab so a slab entry can be borrowed beside
+/// it.
+struct LoopCtx {
+    shared: Arc<ServerShared>,
+    lshared: Arc<LoopShared>,
+    ep: Epoll,
 }
 
 /// One connection's slab entry.
 struct Conn {
     sock: TcpStream,
     id: u64,
+    /// Slab index: the connection's epoll cookie and settle address.
+    slot: usize,
     gen: u64,
     /// Accumulation buffer for the incremental frame decoder.
     rbuf: Vec<u8>,
     /// Pending response bytes; `wpos` marks the already-flushed prefix.
     wbuf: Vec<u8>,
     wpos: usize,
-    /// Submitted-but-unsettled writes (shared with settle callbacks).
-    inflight: Arc<AtomicUsize>,
+    /// Submitted writes whose response the loop has not routed yet.
+    inflight: usize,
     served: u64,
     /// The epoll interest mask currently armed for this socket.
     armed: u32,
@@ -436,19 +331,14 @@ struct Conn {
     /// `EPOLLIN` stays disarmed and `rbuf` bytes stay undecoded until the
     /// peer drains the backlog below [`WBUF_LOW_WATER`].
     stalled: bool,
-}
-
-impl Conn {
-    /// Unflushed response bytes queued behind the peer's reads.
-    fn backlog(&self) -> usize {
-        self.wbuf.len() - self.wpos
-    }
+    /// The read side is over (peer EOF or a framing error): no more bytes
+    /// are read, and the connection closes once every request read so far
+    /// has been answered and flushed.
+    closing: bool,
 }
 
 struct EventLoop {
-    shared: Arc<ReactorShared>,
-    lshared: Arc<LoopShared>,
-    ep: Epoll,
+    cx: LoopCtx,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     next_gen: u64,
@@ -463,9 +353,9 @@ impl EventLoop {
             // ring, so anything pushed after our take leaves the counter
             // nonzero and the next epoll_wait returns immediately — no lost
             // wakeups.
-            self.lshared.wake.drain();
+            self.cx.lshared.efd.drain();
             let (new_conns, settled) = {
-                let mut ib = self.lshared.inbox.lock();
+                let mut ib = self.cx.lshared.inbox.lock();
                 (
                     std::mem::take(&mut ib.new_conns),
                     std::mem::take(&mut ib.settled),
@@ -482,17 +372,15 @@ impl EventLoop {
                 }
             }
             for slot in dirty.drain(..) {
-                if !self.flush(slot) {
-                    self.close(slot);
-                }
+                self.step(slot, |conn, cx| conn.flush(cx));
             }
-            if self.shared.stop.load(Ordering::SeqCst) {
+            if self.cx.shared.stop.load(Ordering::SeqCst) {
                 for slot in 0..self.conns.len() {
                     self.close(slot);
                 }
                 return;
             }
-            let n = match self.ep.wait(&mut events, -1) {
+            let n = match self.cx.ep.wait(&mut events, -1) {
                 Ok(n) => n,
                 Err(_) => continue,
             };
@@ -506,21 +394,26 @@ impl EventLoop {
                 if data == WAKE_TOKEN {
                     continue; // inbox handled at the top of the cycle
                 }
-                let slot = data as usize;
-                if !self.conns.get(slot).is_some_and(|c| c.is_some()) {
-                    continue;
-                }
-                let mut alive = true;
-                if mask & (sys::EPOLLIN | sys::EPOLLERR | sys::EPOLLHUP | sys::EPOLLRDHUP) != 0 {
-                    alive = self.readable(slot);
-                }
-                if alive {
-                    alive = self.flush(slot);
-                }
-                if !alive {
-                    self.close(slot);
-                }
+                self.step(data as usize, |conn, cx| {
+                    // A reset or errored socket can take no more responses.
+                    // These bits are reported even with no interest armed,
+                    // so leaving the slot open would wake the loop forever.
+                    mask & (sys::EPOLLERR | sys::EPOLLHUP) == 0
+                        && (mask & (sys::EPOLLIN | sys::EPOLLRDHUP) == 0 || conn.read(cx))
+                        && conn.flush(cx)
+                });
             }
+        }
+    }
+
+    /// Runs `f` on the live connection in `slot`, if any, and closes it
+    /// when `f` reports it finished.
+    fn step(&mut self, slot: usize, f: impl FnOnce(&mut Conn, &LoopCtx) -> bool) {
+        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+            return;
+        };
+        if !f(conn, &self.cx) {
+            self.close(slot);
         }
     }
 
@@ -528,57 +421,51 @@ impl EventLoop {
     /// only here — at the top of a cycle — so readiness records from the
     /// current batch can never land on a recycled slot.
     fn adopt(&mut self, sock: TcpStream, conn_id: u64) {
-        let obs = self.shared.store.obs();
-        if set_nonblocking(sock.as_raw_fd()).is_err() {
-            self.shared.open_conns.fetch_sub(1, Ordering::Relaxed);
-            obs.metrics().net_connections.decr();
-            obs.emit(EventKind::NetClose, 0, conn_id, 0);
-            return;
-        }
         let slot = self.free.pop().unwrap_or_else(|| {
             self.conns.push(None);
             self.conns.len() - 1
         });
-        if self
-            .ep
-            .add(
-                sock.as_raw_fd(),
-                sys::EPOLLIN | sys::EPOLLRDHUP,
-                slot as u64,
-            )
-            .is_err()
+        let armed = sys::EPOLLIN | sys::EPOLLRDHUP;
+        if set_nonblocking(sock.as_raw_fd()).is_err()
+            || self
+                .cx
+                .ep
+                .add(sock.as_raw_fd(), armed, slot as u64)
+                .is_err()
         {
             self.free.push(slot);
-            self.shared.open_conns.fetch_sub(1, Ordering::Relaxed);
-            obs.metrics().net_connections.decr();
-            obs.emit(EventKind::NetClose, 0, conn_id, 0);
+            self.cx.shared.conn_closed(conn_id, 0);
             return;
         }
         let gen = self.next_gen;
         self.next_gen += 1;
-        self.shared.live_conns.fetch_add(1, Ordering::Relaxed);
+        self.cx.shared.live_conns.fetch_add(1, Ordering::Relaxed);
         self.conns[slot] = Some(Conn {
             sock,
             id: conn_id,
+            slot,
             gen,
             rbuf: Vec::new(),
             wbuf: Vec::new(),
             wpos: 0,
-            inflight: Arc::new(AtomicUsize::new(0)),
+            inflight: 0,
             served: 0,
-            armed: sys::EPOLLIN | sys::EPOLLRDHUP,
+            armed,
             stalled: false,
+            closing: false,
         });
     }
 
-    /// Appends a settled response to its connection's write buffer, or drops
-    /// it if the connection died (stale generation / freed slot).
+    /// Takes a settled write out of its connection's window and appends the
+    /// response to the write buffer, or drops it if the connection died
+    /// (stale generation / freed slot).
     fn route_settled(&mut self, s: Settled) -> Option<usize> {
         let conn = self.conns.get_mut(s.slot)?.as_mut()?;
         if conn.gen != s.gen {
             return None;
         }
-        let obs = self.shared.store.obs();
+        conn.inflight -= 1;
+        let obs = self.cx.shared.store.obs();
         let ns = rewind_obs::Obs::elapsed_ns(s.t0);
         if ns != 0 {
             obs.metrics().net_op_ns.record(ns);
@@ -586,261 +473,6 @@ impl EventLoop {
         obs.emit(EventKind::NetSettle, s.id, conn.id, ns);
         conn.wbuf.extend_from_slice(&s.frame);
         Some(s.slot)
-    }
-
-    /// Pulls everything the socket has, then decodes and dispatches every
-    /// complete frame. Returns false when the connection should close.
-    fn readable(&mut self, slot: usize) -> bool {
-        // Take the conn out of the slab so dispatch can borrow `self`; the
-        // loop is single-threaded, so nothing observes the empty slot.
-        let Some(mut conn) = self.conns[slot].take() else {
-            return true;
-        };
-        let alive = self.read_and_dispatch(&mut conn, slot);
-        self.conns[slot] = Some(conn);
-        alive
-    }
-
-    fn read_and_dispatch(&mut self, conn: &mut Conn, slot: usize) -> bool {
-        let mut eof = false;
-        loop {
-            let start = conn.rbuf.len();
-            conn.rbuf.resize(start + READ_CHUNK, 0);
-            match (&conn.sock).read(&mut conn.rbuf[start..]) {
-                Ok(0) => {
-                    conn.rbuf.truncate(start);
-                    eof = true;
-                    break;
-                }
-                Ok(n) => conn.rbuf.truncate(start + n),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    conn.rbuf.truncate(start);
-                    break;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {
-                    conn.rbuf.truncate(start);
-                }
-                Err(_) => {
-                    conn.rbuf.truncate(start);
-                    return false;
-                }
-            }
-        }
-        let framing_ok = self.drain_rbuf(conn, slot);
-        framing_ok && !eof
-    }
-
-    /// Decodes and dispatches every complete frame buffered in `rbuf`,
-    /// stalling the connection (and leaving the remaining frames buffered)
-    /// when the response backlog crosses the high-water mark. Returns false
-    /// on a framing error.
-    fn drain_rbuf(&mut self, conn: &mut Conn, slot: usize) -> bool {
-        let mut pos = 0usize;
-        let mut framing_ok = true;
-        loop {
-            if conn.backlog() >= WBUF_HIGH_WATER {
-                conn.stalled = true;
-                self.shared.store.obs().metrics().net_stalls.incr();
-                break;
-            }
-            match decode_request(&conn.rbuf[pos..]) {
-                Ok(Some((consumed, id, parsed))) => {
-                    pos += consumed;
-                    conn.served += 1;
-                    match parsed {
-                        Ok(req) => self.dispatch(conn, slot, id, req),
-                        Err(op) => {
-                            // Well-framed but unknown: answer and keep the
-                            // stream, same as the threaded server.
-                            let obs = self.shared.store.obs();
-                            obs.emit(EventKind::NetRecv, id, conn.id, op as u64);
-                            let resp = Response::Error(format!("unknown opcode {op}"));
-                            conn.wbuf.extend_from_slice(&encode_response(id, &resp));
-                        }
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    framing_ok = false;
-                    break;
-                }
-            }
-        }
-        conn.rbuf.drain(..pos);
-        framing_ok
-    }
-
-    /// Admits and executes one decoded request. Reads answer inline; writes
-    /// submit to the store and settle back through the loop's inbox.
-    fn dispatch(&mut self, conn: &mut Conn, slot: usize, id: u64, req: Request) {
-        let store = Arc::clone(&self.shared.store);
-        let obs = store.obs();
-        let t0 = obs.clock();
-        obs.emit(EventKind::NetRecv, id, conn.id, req.opcode() as u64);
-        match req {
-            Request::Get { key } => {
-                let resp = match store.get(key) {
-                    Ok(v) => Response::Value(v),
-                    Err(e) => Response::Error(e.to_string()),
-                };
-                let ns = rewind_obs::Obs::elapsed_ns(t0);
-                if ns != 0 {
-                    obs.metrics().net_op_ns.record(ns);
-                }
-                obs.emit(EventKind::NetSettle, id, conn.id, ns);
-                conn.wbuf.extend_from_slice(&encode_response(id, &resp));
-            }
-            Request::Scan { low, high, limit } => {
-                let limit = limit.min(MAX_SCAN_LIMIT) as usize;
-                let resp = match store.scan(low, high, limit) {
-                    Ok(entries) => Response::Entries(entries),
-                    Err(e) => Response::Error(e.to_string()),
-                };
-                let ns = rewind_obs::Obs::elapsed_ns(t0);
-                if ns != 0 {
-                    obs.metrics().net_op_ns.record(ns);
-                }
-                obs.emit(EventKind::NetSettle, id, conn.id, ns);
-                conn.wbuf.extend_from_slice(&encode_response(id, &resp));
-            }
-            Request::Put { .. } | Request::Delete { .. } | Request::Transact { .. } => {
-                if let Some(reason) = self.admit(conn) {
-                    obs.metrics().net_busy.incr();
-                    obs.emit(
-                        EventKind::NetBusy,
-                        id,
-                        conn.id,
-                        matches!(reason, BusyReason::Store) as u64,
-                    );
-                    conn.wbuf
-                        .extend_from_slice(&encode_response(id, &Response::Busy(reason)));
-                    return;
-                }
-                conn.inflight.fetch_add(1, Ordering::Acquire);
-                obs.emit(EventKind::NetSubmit, id, conn.id, req.opcode() as u64);
-                let ctx = SettleCtx {
-                    lshared: Arc::clone(&self.lshared),
-                    inflight: Arc::clone(&conn.inflight),
-                    slot,
-                    gen: conn.gen,
-                    id,
-                    t0,
-                };
-                // The callbacks run on committer threads once the commit
-                // group settles (or inline right here if it already has —
-                // they only touch the inbox, never the slab).
-                match req {
-                    Request::Put { key, value } => {
-                        store.submit_put(key, value).on_settle(move |r| {
-                            let resp = match r {
-                                Ok(_) => Response::Done,
-                                Err(e) => Response::Error(e.to_string()),
-                            };
-                            ctx.deliver(&resp);
-                        });
-                    }
-                    Request::Delete { key } => {
-                        store.submit_delete(key).on_settle(move |r| {
-                            let resp = match r {
-                                Ok(present) => Response::Deleted(present),
-                                Err(e) => Response::Error(e.to_string()),
-                            };
-                            ctx.deliver(&resp);
-                        });
-                    }
-                    Request::Transact { ops } => {
-                        store.submit_apply(ops).on_settle(move |r| {
-                            let resp = match r {
-                                Ok(n) => match u32::try_from(n) {
-                                    Ok(n) => Response::Applied(n),
-                                    Err(_) => Response::Error(format!(
-                                        "applied count {n} exceeds wire range"
-                                    )),
-                                },
-                                Err(e) => Response::Error(e.to_string()),
-                            };
-                            ctx.deliver(&resp);
-                        });
-                    }
-                    _ => unreachable!(),
-                }
-            }
-        }
-    }
-
-    /// Why a request was turned away, or `None` to admit it. Same two gates
-    /// as the threaded server: per-connection window, then store-wide depth.
-    fn admit(&self, conn: &Conn) -> Option<BusyReason> {
-        if conn.inflight.load(Ordering::Acquire) >= self.shared.cfg.max_inflight_per_conn {
-            return Some(BusyReason::Window);
-        }
-        if self.shared.store.ops_in_flight() >= self.shared.cfg.max_store_inflight {
-            return Some(BusyReason::Store);
-        }
-        None
-    }
-
-    /// One coalesced write of everything pending, then re-arms the interest
-    /// mask to match what's left. Returns false when the connection should
-    /// close.
-    fn flush(&mut self, slot: usize) -> bool {
-        // Same take/put dance as `readable`: the un-stall path re-enters the
-        // decoder, which needs `&mut self` for dispatch.
-        let Some(mut conn) = self.conns[slot].take() else {
-            return true;
-        };
-        let alive = self.flush_conn(&mut conn, slot);
-        self.conns[slot] = Some(conn);
-        alive
-    }
-
-    fn flush_conn(&mut self, conn: &mut Conn, slot: usize) -> bool {
-        while conn.wpos < conn.wbuf.len() {
-            match (&conn.sock).write(&conn.wbuf[conn.wpos..]) {
-                Ok(0) => return false,
-                Ok(n) => conn.wpos += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return false,
-            }
-        }
-        if conn.wpos >= conn.wbuf.len() {
-            conn.wbuf.clear();
-            conn.wpos = 0;
-        } else if conn.wpos > WBUF_COMPACT {
-            conn.wbuf.drain(..conn.wpos);
-            conn.wpos = 0;
-        }
-        if conn.stalled && conn.backlog() <= WBUF_LOW_WATER {
-            // The peer drained the backlog. Resume decoding the request
-            // bytes that were left buffered at stall time — the socket may
-            // never turn readable again if the peer finished sending, so
-            // this is the only path that unsticks them. Decoding may
-            // legitimately re-stall the connection.
-            conn.stalled = false;
-            if !self.drain_rbuf(conn, slot) {
-                return false;
-            }
-        }
-        let mut mask = if conn.stalled {
-            0
-        } else {
-            sys::EPOLLIN | sys::EPOLLRDHUP
-        };
-        if conn.wpos < conn.wbuf.len() {
-            mask |= sys::EPOLLOUT;
-        }
-        if mask != conn.armed {
-            if self
-                .ep
-                .modify(conn.sock.as_raw_fd(), mask, slot as u64)
-                .is_err()
-            {
-                return false;
-            }
-            conn.armed = mask;
-        }
-        true
     }
 
     /// Tears down one slab entry. Closing the socket drops it from the epoll
@@ -851,11 +483,232 @@ impl EventLoop {
         let Some(conn) = self.conns[slot].take() else {
             return;
         };
-        let obs = self.shared.store.obs();
-        self.shared.open_conns.fetch_sub(1, Ordering::Relaxed);
-        self.shared.live_conns.fetch_sub(1, Ordering::Relaxed);
-        obs.metrics().net_connections.decr();
-        obs.emit(EventKind::NetClose, 0, conn.id, conn.served);
+        self.cx.shared.live_conns.fetch_sub(1, Ordering::Relaxed);
+        self.cx.shared.conn_closed(conn.id, conn.served);
         self.free.push(slot);
+    }
+}
+
+impl Conn {
+    /// Unflushed response bytes queued behind the peer's reads.
+    fn backlog(&self) -> usize {
+        self.wbuf.len() - self.wpos
+    }
+
+    /// Pulls everything the socket has, then decodes and dispatches every
+    /// complete frame. EOF ends the read side; returns false only when the
+    /// socket failed.
+    fn read(&mut self, cx: &LoopCtx) -> bool {
+        loop {
+            let start = self.rbuf.len();
+            self.rbuf.resize(start + READ_CHUNK, 0);
+            match (&self.sock).read(&mut self.rbuf[start..]) {
+                Ok(0) => {
+                    self.rbuf.truncate(start);
+                    self.closing = true;
+                    break;
+                }
+                Ok(n) => self.rbuf.truncate(start + n),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    self.rbuf.truncate(start);
+                    break;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {
+                    self.rbuf.truncate(start);
+                }
+                Err(_) => return false,
+            }
+        }
+        self.drain_rbuf(cx);
+        true
+    }
+
+    /// Decodes and dispatches every complete frame buffered in `rbuf`,
+    /// stalling the connection (and leaving the remaining frames buffered)
+    /// when the response backlog crosses the high-water mark. A framing
+    /// error ends the read side: the bytes from it on are discarded.
+    fn drain_rbuf(&mut self, cx: &LoopCtx) {
+        let mut pos = 0usize;
+        loop {
+            if self.backlog() >= WBUF_HIGH_WATER {
+                self.stalled = true;
+                cx.shared.store.obs().metrics().net_stalls.incr();
+                break;
+            }
+            match decode_request(&self.rbuf[pos..]) {
+                Ok(Some((consumed, id, parsed))) => {
+                    pos += consumed;
+                    self.served += 1;
+                    match parsed {
+                        Ok(req) => self.dispatch(cx, id, req),
+                        Err(op) => {
+                            // Well-framed but unknown: answer and keep the
+                            // stream.
+                            let obs = cx.shared.store.obs();
+                            obs.emit(EventKind::NetRecv, id, self.id, op as u64);
+                            let resp = Response::Error(format!("unknown opcode {op}"));
+                            self.wbuf.extend_from_slice(&encode_response(id, &resp));
+                        }
+                    }
+                }
+                Ok(None) => break,
+                Err(_) => {
+                    self.closing = true;
+                    pos = self.rbuf.len();
+                    break;
+                }
+            }
+        }
+        self.rbuf.drain(..pos);
+    }
+
+    /// Executes one decoded request. Reads answer inline; writes go through
+    /// [`submit`](Self::submit).
+    fn dispatch(&mut self, cx: &LoopCtx, id: u64, req: Request) {
+        let store = &cx.shared.store;
+        let obs = store.obs();
+        let t0 = obs.clock();
+        obs.emit(EventKind::NetRecv, id, self.id, req.opcode() as u64);
+        let resp = match req {
+            Request::Get { key } => match store.get(key) {
+                Ok(v) => Response::Value(v),
+                Err(e) => Response::Error(e.to_string()),
+            },
+            Request::Scan { low, high, limit } => {
+                match store.scan(low, high, limit.min(MAX_SCAN_LIMIT) as usize) {
+                    Ok(entries) => Response::Entries(entries),
+                    Err(e) => Response::Error(e.to_string()),
+                }
+            }
+            write => return self.submit(cx, id, t0, write),
+        };
+        let ns = rewind_obs::Obs::elapsed_ns(t0);
+        if ns != 0 {
+            obs.metrics().net_op_ns.record(ns);
+        }
+        obs.emit(EventKind::NetSettle, id, self.id, ns);
+        self.wbuf.extend_from_slice(&encode_response(id, &resp));
+    }
+
+    /// Admits one write and submits it to the store; its response settles
+    /// back through the loop's inbox. A rejected write is answered `BUSY`.
+    fn submit(&mut self, cx: &LoopCtx, id: u64, t0: Option<Instant>, req: Request) {
+        let store = &cx.shared.store;
+        let obs = store.obs();
+        if let Some(reason) = cx.shared.admit(self.inflight) {
+            obs.metrics().net_busy.incr();
+            obs.emit(
+                EventKind::NetBusy,
+                id,
+                self.id,
+                matches!(reason, BusyReason::Store) as u64,
+            );
+            self.wbuf
+                .extend_from_slice(&encode_response(id, &Response::Busy(reason)));
+            return;
+        }
+        self.inflight += 1;
+        obs.emit(EventKind::NetSubmit, id, self.id, req.opcode() as u64);
+        let ctx = SettleCtx {
+            lshared: Arc::clone(&cx.lshared),
+            slot: self.slot,
+            gen: self.gen,
+            id,
+            t0,
+        };
+        // The callbacks run on committer threads once the commit group
+        // settles (or inline right here if it already has — they only touch
+        // the inbox, never the slab).
+        match req {
+            Request::Put { key, value } => {
+                store.submit_put(key, value).on_settle(move |r| {
+                    let resp = match r {
+                        Ok(_) => Response::Done,
+                        Err(e) => Response::Error(e.to_string()),
+                    };
+                    ctx.deliver(&resp);
+                });
+            }
+            Request::Delete { key } => {
+                store.submit_delete(key).on_settle(move |r| {
+                    let resp = match r {
+                        Ok(present) => Response::Deleted(present),
+                        Err(e) => Response::Error(e.to_string()),
+                    };
+                    ctx.deliver(&resp);
+                });
+            }
+            Request::Transact { ops } => {
+                store.submit_apply(ops).on_settle(move |r| {
+                    let resp = match r {
+                        // Checked, not `as`: a silent truncation here would
+                        // ack a huge transaction with a wrong count.
+                        Ok(n) => match u32::try_from(n) {
+                            Ok(n) => Response::Applied(n),
+                            Err(_) => {
+                                Response::Error(format!("applied count {n} exceeds wire range"))
+                            }
+                        },
+                        Err(e) => Response::Error(e.to_string()),
+                    };
+                    ctx.deliver(&resp);
+                });
+            }
+            Request::Get { .. } | Request::Scan { .. } => unreachable!("reads are answered inline"),
+        }
+    }
+
+    /// One coalesced write of everything pending, then re-arms the interest
+    /// mask to match what's left. Returns false when the connection should
+    /// close: the socket failed, or its read side is over and every request
+    /// read has been answered.
+    fn flush(&mut self, cx: &LoopCtx) -> bool {
+        while self.wpos < self.wbuf.len() {
+            match (&self.sock).write(&self.wbuf[self.wpos..]) {
+                Ok(0) => return false,
+                Ok(n) => self.wpos += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return false,
+            }
+        }
+        if self.wpos >= self.wbuf.len() {
+            self.wbuf.clear();
+            self.wpos = 0;
+        } else if self.wpos > WBUF_COMPACT {
+            self.wbuf.drain(..self.wpos);
+            self.wpos = 0;
+        }
+        if self.stalled && self.backlog() <= WBUF_LOW_WATER {
+            // The peer drained the backlog. Resume decoding the request
+            // bytes that were left buffered at stall time — the socket may
+            // never turn readable again if the peer finished sending, so
+            // this is the only path that unsticks them. Decoding may
+            // legitimately re-stall the connection.
+            self.stalled = false;
+            self.drain_rbuf(cx);
+        }
+        if self.closing && self.inflight == 0 && self.backlog() == 0 {
+            return false;
+        }
+        let mut mask = if self.stalled || self.closing {
+            0
+        } else {
+            sys::EPOLLIN | sys::EPOLLRDHUP
+        };
+        if self.backlog() > 0 {
+            mask |= sys::EPOLLOUT;
+        }
+        if mask != self.armed {
+            if cx
+                .ep
+                .modify(self.sock.as_raw_fd(), mask, self.slot as u64)
+                .is_err()
+            {
+                return false;
+            }
+            self.armed = mask;
+        }
+        true
     }
 }

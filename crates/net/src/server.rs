@@ -1,23 +1,19 @@
-//! The pipelined TCP server: threads, admission control, settlement.
+//! The network server: configuration, lifecycle, accepting and admission
+//! control.
 //!
-//! Each accepted connection gets two threads. The **reader** decodes frames
-//! off the socket, answers reads (GET/SCAN) inline, and hands writes to the
-//! store's completion-based front-end ([`submit_put`] / [`submit_delete`] /
-//! [`submit_apply`]) without waiting — the completion handle goes over an
-//! in-process channel to the connection's **settler** thread, which blocks
-//! on handles in submission order and writes each response the moment its
-//! commit group settles. Because reads bypass the settler entirely,
-//! responses leave the socket out of order and the client matches on
-//! request id; because the settler never touches the socket's read side, a
-//! slow commit group never stops the reader from accepting (or rejecting)
-//! more pipelined requests.
+//! [`NetServer`] serves the protocol from an epoll readiness reactor (the
+//! `reactor` module): one blocking accept thread round-robins accepted
+//! sockets across a fixed pool of [`ServerConfig::reactor_threads`] event
+//! loops, each of which multiplexes its connections over one `epoll`
+//! instance of nonblocking sockets. The thread count does not grow with the
+//! number of open connections. The server is Linux-only.
 //!
 //! Admission control is two gates, both checked before a write is
 //! submitted:
 //!
 //! - **window** — per-connection in-flight cap
-//!   ([`ServerConfig::max_inflight_per_conn`]). Protects the settler queue
-//!   and bounds how much a single pipelined connection can buffer.
+//!   ([`ServerConfig::max_inflight_per_conn`]). Bounds how much a single
+//!   pipelined connection can have waiting on commit groups.
 //! - **store** — global backpressure off the store's own in-flight counter
 //!   ([`ShardedStore::ops_in_flight`], the same quantity the
 //!   `group_queue_depth` gauge samples), capped by
@@ -26,38 +22,20 @@
 //! A rejected request is answered with a typed `BUSY` response carrying the
 //! reason; nothing is executed, and the connection stays healthy.
 //!
-//! [`submit_put`]: ShardedStore::submit_put
-//! [`submit_delete`]: ShardedStore::submit_delete
-//! [`submit_apply`]: ShardedStore::submit_apply
+//! A connection ends when its peer half-closes it or sends a malformed
+//! frame. Every request read before that point is still answered — reads
+//! at once, writes when their commit group settles — and then the server
+//! closes the connection.
 
-use crate::protocol::{
-    self, encode_response, read_request, BusyReason, FrameError, Request, Response, MAX_SCAN_LIMIT,
-};
-use parking_lot::Mutex;
+use crate::protocol::BusyReason;
+use crate::reactor::{self, LoopShared};
 use rewind_obs::EventKind;
-use rewind_shard::{Completion, ShardedStore, TxCompletion};
-use std::collections::HashMap;
-use std::io::{self, BufReader, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use rewind_shard::ShardedStore;
+use std::io;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
-
-/// Which server backend [`NetServer::start`] should run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerMode {
-    /// Use the epoll reactor when it's compiled in (`reactor` feature on a
-    /// Linux target), otherwise fall back to thread-per-connection.
-    Auto,
-    /// Require the epoll reactor; `start` fails with
-    /// [`io::ErrorKind::Unsupported`] when it isn't compiled in.
-    Reactor,
-    /// Force the thread-per-connection backend even when the reactor is
-    /// available (kept as the portable fallback and as a comparison
-    /// baseline).
-    ThreadPerConn,
-}
 
 /// Tunables for [`NetServer::start`].
 #[derive(Debug, Clone)]
@@ -72,10 +50,7 @@ pub struct ServerConfig {
     /// in-flight depth is at or above this, new writes on every connection
     /// are rejected with `BUSY` ([`BusyReason::Store`]).
     pub max_store_inflight: u64,
-    /// Backend selection; see [`ServerMode`].
-    pub mode: ServerMode,
-    /// Event-loop threads for the reactor backend (clamped to at least 1).
-    /// Ignored by the thread-per-connection backend.
+    /// Event-loop threads (clamped to at least 1).
     pub reactor_threads: usize,
 }
 
@@ -85,7 +60,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             max_inflight_per_conn: 256,
             max_store_inflight: 8192,
-            mode: ServerMode::Auto,
             reactor_threads: 2,
         }
     }
@@ -112,192 +86,122 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the backend selection mode.
-    pub fn mode(mut self, mode: ServerMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Sets the reactor's event-loop thread count.
+    /// Sets the event-loop thread count.
     pub fn reactor_threads(mut self, n: usize) -> Self {
         self.reactor_threads = n;
         self
     }
 }
 
-/// A completion handle in flight between reader and settler, FIFO per
-/// connection.
-enum Settle {
-    /// A group-committed single-key write (`op` is the request opcode, so
-    /// the settler knows whether to answer `Done` or `Deleted`).
-    Write {
-        id: u64,
-        op: u8,
-        t0: Option<Instant>,
-        c: Completion,
-    },
-    /// A declared-key transaction.
-    Tx {
-        id: u64,
-        t0: Option<Instant>,
-        c: TxCompletion<usize>,
-    },
-}
-
-struct ConnShared {
-    /// Write half of the socket, shared by reader (inline reads, BUSY/ERR)
-    /// and settler (write acks). One response is one locked `write_all`, so
-    /// frames never interleave.
-    out: Mutex<TcpStream>,
-    /// Submitted-but-unsettled writes on this connection.
-    inflight: AtomicUsize,
-}
-
-struct ServerShared {
-    store: Arc<ShardedStore>,
+/// State shared by the accept thread, every event loop, and the server
+/// handle.
+pub(crate) struct ServerShared {
+    pub(crate) store: Arc<ShardedStore>,
     cfg: ServerConfig,
-    stop: AtomicBool,
+    pub(crate) stop: AtomicBool,
     next_conn: AtomicU64,
+    /// Accepted-and-not-yet-closed connections (the `net_connections`
+    /// quantity, kept as an atomic so churn tests can read it directly).
     open_conns: AtomicUsize,
-    /// Socket clones for every live connection, keyed by connection id, so
-    /// shutdown can unblock readers parked in `read`. Each entry is removed
-    /// by its own `serve_conn` on exit — the map tracks live connections
-    /// only, it does not grow with churn.
-    conns: Mutex<HashMap<u64, TcpStream>>,
+    /// Slab-resident connection states across all loops; proves the slabs
+    /// don't leak entries under churn.
+    pub(crate) live_conns: AtomicUsize,
 }
 
-/// Whether the epoll reactor backend is compiled into this build.
-pub(crate) const REACTOR_AVAILABLE: bool = cfg!(all(feature = "reactor", target_os = "linux"));
+impl ServerShared {
+    /// Why a write was turned away, or `None` to admit it: first the
+    /// connection's window (`inflight` of its writes are unsettled), then
+    /// the store-wide depth.
+    pub(crate) fn admit(&self, inflight: usize) -> Option<BusyReason> {
+        if inflight >= self.cfg.max_inflight_per_conn {
+            return Some(BusyReason::Window);
+        }
+        if self.store.ops_in_flight() >= self.cfg.max_store_inflight {
+            return Some(BusyReason::Store);
+        }
+        None
+    }
 
-enum Backend {
-    Threaded {
-        shared: Arc<ServerShared>,
-        accept: Option<JoinHandle<()>>,
-        conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    },
-    #[cfg(all(feature = "reactor", target_os = "linux"))]
-    Reactor(crate::reactor::Reactor),
+    /// Books one accepted connection as closed after serving `served`
+    /// requests.
+    pub(crate) fn conn_closed(&self, conn_id: u64, served: u64) {
+        let obs = self.store.obs();
+        self.open_conns.fetch_sub(1, Ordering::Relaxed);
+        obs.metrics().net_connections.decr();
+        obs.emit(EventKind::NetClose, 0, conn_id, served);
+    }
 }
 
-/// A running network front-end over one [`ShardedStore`].
-///
-/// Two interchangeable backends serve the same protocol with the same
-/// admission control and durability semantics (selected by
-/// [`ServerConfig::mode`]):
-///
-/// - the **epoll reactor** (default when compiled in): a fixed pool of
-///   event-loop threads driving nonblocking sockets (`reactor` module);
-/// - **thread-per-connection**: two threads per accepted socket (reader +
-///   settler), the portable fallback.
+/// A running network front-end over one [`ShardedStore`]: the accept
+/// thread plus [`ServerConfig::reactor_threads`] event loops.
 ///
 /// Dropping the handle shuts the server down (see [`NetServer::shutdown`]).
 pub struct NetServer {
-    addr: std::net::SocketAddr,
-    backend: Backend,
+    shared: Arc<ServerShared>,
+    addr: SocketAddr,
+    loops: Vec<Arc<LoopShared>>,
+    accept: Option<JoinHandle<()>>,
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl NetServer {
     /// Binds `cfg.addr` and starts serving `store`. Returns once the
     /// listener is live; connections are handled on background threads.
     pub fn start(store: Arc<ShardedStore>, cfg: ServerConfig) -> io::Result<NetServer> {
-        let use_reactor = match cfg.mode {
-            ServerMode::ThreadPerConn => false,
-            ServerMode::Reactor if !REACTOR_AVAILABLE => {
-                return Err(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    "epoll reactor backend not compiled in (needs the `reactor` feature on Linux)",
-                ));
-            }
-            ServerMode::Reactor => true,
-            ServerMode::Auto => REACTOR_AVAILABLE,
-        };
-        if use_reactor {
-            #[cfg(all(feature = "reactor", target_os = "linux"))]
-            {
-                let r = crate::reactor::Reactor::start(store, cfg)?;
-                return Ok(NetServer {
-                    addr: r.local_addr(),
-                    backend: Backend::Reactor(r),
-                });
-            }
-        }
-        Self::start_threaded(store, cfg)
-    }
-
-    fn start_threaded(store: Arc<ShardedStore>, cfg: ServerConfig) -> io::Result<NetServer> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
-        let shared = Arc::new(ServerShared {
-            store,
-            cfg,
-            stop: AtomicBool::new(false),
-            next_conn: AtomicU64::new(0),
-            open_conns: AtomicUsize::new(0),
-            conns: Mutex::new(HashMap::new()),
-        });
-        let conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let accept = {
-            let shared = Arc::clone(&shared);
-            let conn_handles = Arc::clone(&conn_handles);
+        let n_loops = cfg.reactor_threads.max(1);
+        // Built up in place so that a failed spawn below drops a handle
+        // whose shutdown joins the loops already running.
+        let mut server = NetServer {
+            shared: Arc::new(ServerShared {
+                store,
+                cfg,
+                stop: AtomicBool::new(false),
+                next_conn: AtomicU64::new(0),
+                open_conns: AtomicUsize::new(0),
+                live_conns: AtomicUsize::new(0),
+            }),
+            addr: listener.local_addr()?,
+            loops: Vec::with_capacity(n_loops),
+            accept: None,
+            threads: Vec::with_capacity(n_loops),
+        };
+        for i in 0..n_loops {
+            let (l, h) = reactor::spawn_loop(i, Arc::clone(&server.shared))?;
+            server.loops.push(l);
+            server.threads.push(h);
+        }
+        let shared = Arc::clone(&server.shared);
+        let loops = server.loops.clone();
+        server.accept = Some(
             std::thread::Builder::new()
                 .name("net-accept".to_string())
-                .spawn(move || accept_loop(listener, shared, conn_handles))?
-        };
-        Ok(NetServer {
-            addr,
-            backend: Backend::Threaded {
-                shared,
-                accept: Some(accept),
-                conn_handles,
-            },
-        })
+                .spawn(move || accept_loop(listener, shared, loops))?,
+        );
+        Ok(server)
     }
 
     /// The bound address (resolves port 0).
-    pub fn local_addr(&self) -> std::net::SocketAddr {
+    pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Whether this server is running the epoll reactor backend.
-    pub fn is_reactor(&self) -> bool {
-        match &self.backend {
-            Backend::Threaded { .. } => false,
-            #[cfg(all(feature = "reactor", target_os = "linux"))]
-            Backend::Reactor(_) => true,
-        }
     }
 
     /// Accepted-and-not-yet-closed connections (the `net_connections`
     /// quantity, read directly rather than through the metrics registry).
     pub fn open_connections(&self) -> usize {
-        match &self.backend {
-            Backend::Threaded { shared, .. } => shared.open_conns.load(Ordering::Relaxed),
-            #[cfg(all(feature = "reactor", target_os = "linux"))]
-            Backend::Reactor(r) => r.open_connections(),
-        }
+        self.shared.open_conns.load(Ordering::Relaxed)
     }
 
-    /// Per-connection states the server currently tracks: shutdown-map
-    /// entries on the threaded backend, slab-resident entries on the
-    /// reactor. A churn test asserts this returns to zero — the PR-10 leak
-    /// was this number growing monotonically.
+    /// Per-connection states resident in the event loops' slabs. A churn
+    /// test asserts this returns to zero once every client has gone.
     pub fn tracked_conns(&self) -> usize {
-        match &self.backend {
-            Backend::Threaded { shared, .. } => shared.conns.lock().len(),
-            #[cfg(all(feature = "reactor", target_os = "linux"))]
-            Backend::Reactor(r) => r.tracked_conns(),
-        }
+        self.shared.live_conns.load(Ordering::Relaxed)
     }
 
-    /// Server threads currently tracked: retained join handles (plus the
-    /// acceptor) on the threaded backend; the fixed pool size on the
-    /// reactor, independent of connection count.
+    /// Server threads in total: the fixed loop pool plus the acceptor —
+    /// independent of how many connections are open.
     pub fn tracked_threads(&self) -> usize {
-        match &self.backend {
-            Backend::Threaded { conn_handles, .. } => conn_handles.lock().len() + 1,
-            #[cfg(all(feature = "reactor", target_os = "linux"))]
-            Backend::Reactor(r) => r.thread_count(),
-        }
+        self.threads.len() + 1
     }
 
     /// Stops accepting, severs every open connection, and joins all server
@@ -305,32 +209,20 @@ impl NetServer {
     /// durability does not depend on the socket), but their responses are
     /// lost with the connection. Idempotent.
     pub fn shutdown(&mut self) {
-        let addr = self.addr;
-        match &mut self.backend {
-            Backend::Threaded {
-                shared,
-                accept,
-                conn_handles,
-            } => {
-                if shared.stop.swap(true, Ordering::SeqCst) {
-                    return;
-                }
-                // Unblock the accept loop with a throwaway connection; it
-                // checks the stop flag after every accept.
-                let _ = TcpStream::connect(addr);
-                for (_, conn) in shared.conns.lock().drain() {
-                    let _ = conn.shutdown(Shutdown::Both);
-                }
-                if let Some(h) = accept.take() {
-                    let _ = h.join();
-                }
-                let handles: Vec<_> = conn_handles.lock().drain(..).collect();
-                for h in handles {
-                    let _ = h.join();
-                }
-            }
-            #[cfg(all(feature = "reactor", target_os = "linux"))]
-            Backend::Reactor(r) => r.shutdown(),
+        if self.shared.stop.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        // Unblock the acceptor with a throwaway connection, then wake every
+        // loop so each sees the stop flag and tears down its slab.
+        let _ = TcpStream::connect(self.addr);
+        for l in &self.loops {
+            l.wake();
+        }
+        if let Some(h) = self.accept.take() {
+            let _ = h.join();
+        }
+        for h in self.threads.drain(..) {
+            let _ = h.join();
         }
     }
 }
@@ -341,11 +233,8 @@ impl Drop for NetServer {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    shared: Arc<ServerShared>,
-    conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
+fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>, loops: Vec<Arc<LoopShared>>) {
+    let mut rr = 0usize;
     loop {
         let stream = match listener.accept() {
             Ok((s, _)) => s,
@@ -374,236 +263,7 @@ fn accept_loop(
         // incr/decr, not set(): concurrent accepts and closes racing a
         // read-then-set would otherwise leave the gauge permanently skewed.
         obs.metrics().net_connections.incr();
-        if let Ok(clone) = stream.try_clone() {
-            shared.conns.lock().insert(conn_id, clone);
-        }
-        let shared2 = Arc::clone(&shared);
-        let spawned = std::thread::Builder::new()
-            .name(format!("net-conn-{conn_id}"))
-            .spawn(move || serve_conn(stream, conn_id, shared2));
-        match spawned {
-            Ok(h) => {
-                // Reap finished connections' handles before retaining the
-                // new one, so the vector tracks live threads instead of
-                // growing monotonically with churn.
-                let mut handles = conn_handles.lock();
-                handles.retain(|h| !h.is_finished());
-                handles.push(h);
-            }
-            Err(_) => {
-                shared.conns.lock().remove(&conn_id);
-                shared.open_conns.fetch_sub(1, Ordering::Relaxed);
-                obs.metrics().net_connections.decr();
-                obs.emit(EventKind::NetClose, 0, conn_id, 0);
-            }
-        }
+        loops[rr % loops.len()].hand_off(stream, conn_id);
+        rr = rr.wrapping_add(1);
     }
-}
-
-/// Writes one response frame under the connection's output lock.
-fn send(shared: &ConnShared, id: u64, resp: &Response) -> io::Result<()> {
-    let bytes = encode_response(id, resp);
-    let mut out = shared.out.lock();
-    out.write_all(&bytes)
-}
-
-fn settler_loop(
-    rx: mpsc::Receiver<Settle>,
-    conn: Arc<ConnShared>,
-    server: Arc<ServerShared>,
-    conn_id: u64,
-) {
-    let obs = server.store.obs().clone();
-    for settle in rx {
-        let (id, t0, resp) = match settle {
-            Settle::Write { id, op, t0, c } => {
-                let resp = match c.wait() {
-                    Ok(present) if op == protocol::opcode::DELETE => Response::Deleted(present),
-                    Ok(_) => Response::Done,
-                    Err(e) => Response::Error(e.to_string()),
-                };
-                (id, t0, resp)
-            }
-            Settle::Tx { id, t0, c } => {
-                let resp = match c.wait() {
-                    // Checked, not `as`: a silent truncation here would ack
-                    // a huge transaction with a wrong count. Unreachable
-                    // while MAX_FRAME bounds ops-per-transaction, but wire
-                    // code doesn't get to assume that.
-                    Ok(n) => match u32::try_from(n) {
-                        Ok(n) => Response::Applied(n),
-                        Err(_) => Response::Error(format!("applied count {n} exceeds wire range")),
-                    },
-                    Err(e) => Response::Error(e.to_string()),
-                };
-                (id, t0, resp)
-            }
-        };
-        conn.inflight.fetch_sub(1, Ordering::Release);
-        // A failed response write means the peer is gone; keep draining so
-        // every queued completion is still waited on (writes stay durable,
-        // counters stay balanced).
-        let _ = send(&conn, id, &resp);
-        let ns = rewind_obs::Obs::elapsed_ns(t0);
-        if ns != 0 {
-            obs.metrics().net_op_ns.record(ns);
-        }
-        obs.emit(EventKind::NetSettle, id, conn_id, ns);
-    }
-}
-
-fn serve_conn(stream: TcpStream, conn_id: u64, server: Arc<ServerShared>) {
-    let obs = server.store.obs().clone();
-    let mut served: u64 = 0;
-    if let Ok(write_half) = stream.try_clone() {
-        let conn = Arc::new(ConnShared {
-            out: Mutex::new(write_half),
-            inflight: AtomicUsize::new(0),
-        });
-        let (tx, rx) = mpsc::channel::<Settle>();
-        let settler = {
-            let conn = Arc::clone(&conn);
-            let server = Arc::clone(&server);
-            std::thread::Builder::new()
-                .name(format!("net-settle-{conn_id}"))
-                .spawn(move || settler_loop(rx, conn, server, conn_id))
-        };
-        let mut reader = BufReader::new(stream);
-        loop {
-            match read_request(&mut reader) {
-                Ok(Some((id, Ok(req)))) => {
-                    served += 1;
-                    if handle_request(id, req, &conn, &server, conn_id, &tx).is_err() {
-                        break;
-                    }
-                }
-                Ok(Some((id, Err(op)))) => {
-                    // Well-framed but unknown: answer and keep the stream.
-                    served += 1;
-                    obs.emit(EventKind::NetRecv, id, conn_id, op as u64);
-                    if send(&conn, id, &Response::Error(format!("unknown opcode {op}"))).is_err() {
-                        break;
-                    }
-                }
-                // Clean EOF, framing violation, or I/O error all end the
-                // connection; only the first is silent.
-                Ok(None) | Err(FrameError::Io(_)) => break,
-                Err(_) => break,
-            }
-        }
-        // Reader is done: drop our sender so the settler drains its queue
-        // and exits, then wait for it — in-flight writes settle before the
-        // connection's threads disappear.
-        drop(tx);
-        if let Ok(h) = settler {
-            let _ = h.join();
-        }
-        let _ = reader.get_ref().shutdown(Shutdown::Both);
-    }
-    // Drop this connection's shutdown-map entry: without this, the map kept
-    // one socket clone per connection *ever accepted* and churny workloads
-    // leaked fds until the process hit its rlimit.
-    server.conns.lock().remove(&conn_id);
-    server.open_conns.fetch_sub(1, Ordering::Relaxed);
-    obs.metrics().net_connections.decr();
-    obs.emit(EventKind::NetClose, 0, conn_id, served);
-}
-
-/// Decodes → admits → executes one request. `Err` means the socket write
-/// side failed and the connection should close.
-fn handle_request(
-    id: u64,
-    req: Request,
-    conn: &Arc<ConnShared>,
-    server: &Arc<ServerShared>,
-    conn_id: u64,
-    settle_tx: &mpsc::Sender<Settle>,
-) -> io::Result<()> {
-    let obs = server.store.obs();
-    let t0 = obs.clock();
-    obs.emit(EventKind::NetRecv, id, conn_id, req.opcode() as u64);
-    let store = &server.store;
-    match req {
-        // Reads are answered inline by the reader thread itself: they take
-        // shard-local latches, not the group-commit path, so there is
-        // nothing to wait for and no reason to queue them behind writes.
-        Request::Get { key } => {
-            let resp = match store.get(key) {
-                Ok(v) => Response::Value(v),
-                Err(e) => Response::Error(e.to_string()),
-            };
-            let ns = rewind_obs::Obs::elapsed_ns(t0);
-            if ns != 0 {
-                obs.metrics().net_op_ns.record(ns);
-            }
-            obs.emit(EventKind::NetSettle, id, conn_id, ns);
-            send(conn, id, &resp)
-        }
-        Request::Scan { low, high, limit } => {
-            let limit = limit.min(MAX_SCAN_LIMIT) as usize;
-            let resp = match store.scan(low, high, limit) {
-                Ok(entries) => Response::Entries(entries),
-                Err(e) => Response::Error(e.to_string()),
-            };
-            let ns = rewind_obs::Obs::elapsed_ns(t0);
-            if ns != 0 {
-                obs.metrics().net_op_ns.record(ns);
-            }
-            obs.emit(EventKind::NetSettle, id, conn_id, ns);
-            send(conn, id, &resp)
-        }
-        Request::Put { .. } | Request::Delete { .. } | Request::Transact { .. } => {
-            if let Some(reason) = admit(conn, server) {
-                obs.metrics().net_busy.incr();
-                obs.emit(
-                    EventKind::NetBusy,
-                    id,
-                    conn_id,
-                    matches!(reason, BusyReason::Store) as u64,
-                );
-                return send(conn, id, &Response::Busy(reason));
-            }
-            conn.inflight.fetch_add(1, Ordering::Acquire);
-            obs.emit(EventKind::NetSubmit, id, conn_id, req.opcode() as u64);
-            let settle = match req {
-                Request::Put { key, value } => Settle::Write {
-                    id,
-                    op: protocol::opcode::PUT,
-                    t0,
-                    c: store.submit_put(key, value),
-                },
-                Request::Delete { key } => Settle::Write {
-                    id,
-                    op: protocol::opcode::DELETE,
-                    t0,
-                    c: store.submit_delete(key),
-                },
-                Request::Transact { ops } => Settle::Tx {
-                    id,
-                    t0,
-                    c: store.submit_apply(ops),
-                },
-                _ => unreachable!(),
-            };
-            // The settler owns the rest of this request's lifecycle. A send
-            // failure means the settler died (connection teardown racing a
-            // late request): roll the window back and end the connection.
-            if settle_tx.send(settle).is_err() {
-                conn.inflight.fetch_sub(1, Ordering::Release);
-                return Err(io::Error::new(io::ErrorKind::BrokenPipe, "settler gone"));
-            }
-            Ok(())
-        }
-    }
-}
-
-/// Why a request was turned away, or `None` to admit it.
-fn admit(conn: &ConnShared, server: &ServerShared) -> Option<BusyReason> {
-    if conn.inflight.load(Ordering::Acquire) >= server.cfg.max_inflight_per_conn {
-        return Some(BusyReason::Window);
-    }
-    if server.store.ops_in_flight() >= server.cfg.max_store_inflight {
-        return Some(BusyReason::Store);
-    }
-    None
 }

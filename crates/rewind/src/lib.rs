@@ -73,8 +73,7 @@ pub mod prelude {
         TransactionManager, TxId,
     };
     pub use rewind_net::{
-        ChurnConfig, NetClient, NetError, NetServer, PipelinedClient, ServerConfig, ServerMode,
-        SimConfig,
+        ChurnConfig, NetClient, NetError, NetServer, PipelinedClient, ServerConfig, SimConfig,
     };
     pub use rewind_nvm::{
         CostModel, CrashMode, FaultConfig, FileOpenReport, NvmPool, PAddr, PoolConfig,

@@ -35,13 +35,6 @@ pub struct ShardConfig {
     /// and stops early when the queue stalls — a lone synchronous writer
     /// never pays this window. `0` disables the wait entirely.
     pub group_wait_us: u64,
-    /// Whether a 2PC coordinator releases each writing participant's shard
-    /// lock as soon as the commit decision is durable, finishing phase 2
-    /// (END record, log clearing) without it — so group commits interleave
-    /// with the in-doubt window instead of stalling behind it. Safe because
-    /// a durably-decided transaction can never roll back; kept as a knob so
-    /// crash matrices can exercise both paths.
-    pub queued_prepare: bool,
     /// NVM cost model for every shard pool.
     pub cost: CostModel,
     /// How a simulated power failure treats in-flight cachelines on every
@@ -62,7 +55,6 @@ impl ShardConfig {
             rewind: RewindConfig::batch().checkpoint_every(DEFAULT_CHECKPOINT_EVERY),
             max_group: 64,
             group_wait_us: 40,
-            queued_prepare: true,
             cost: CostModel::paper(),
             crash_mode: CrashMode::DropDirty,
         }
@@ -92,13 +84,6 @@ impl ShardConfig {
         self
     }
 
-    /// Enables or disables queued prepare (early shard-lock release after
-    /// the 2PC commit decision is durable).
-    pub fn queued_prepare(mut self, on: bool) -> Self {
-        self.queued_prepare = on;
-        self
-    }
-
     /// Sets the NVM cost model used by every shard pool.
     pub fn cost(mut self, cost: CostModel) -> Self {
         self.cost = cost;
@@ -122,17 +107,11 @@ mod tests {
             .shard_capacity(4 << 20)
             .max_group(16)
             .group_wait_us(10)
-            .queued_prepare(false)
             .cost(CostModel::free());
         assert_eq!(cfg.shards, 8);
         assert_eq!(cfg.shard_capacity, 4 << 20);
         assert_eq!(cfg.max_group, 16);
         assert_eq!(cfg.group_wait_us, 10);
-        assert!(!cfg.queued_prepare);
-        assert!(
-            ShardConfig::new(1).queued_prepare,
-            "queued prepare defaults on"
-        );
         assert_eq!(ShardConfig::new(1).max_group(0).max_group, 1);
         assert_eq!(
             ShardConfig::new(1).rewind.checkpoint_every,

@@ -677,13 +677,7 @@ impl<'a> StoreTx<'a> {
                 let released = Self::release(readers);
                 outcome.and(released)
             }
-            _ => Self::two_phase(
-                obs,
-                decisions,
-                writers,
-                readers,
-                self.store.config().queued_prepare,
-            ),
+            _ => Self::two_phase(obs, decisions, writers, readers),
         }
     }
 
@@ -706,7 +700,6 @@ impl<'a> StoreTx<'a> {
         decisions: &DecisionLog,
         mut writers: Vec<Participant<'a>>,
         readers: Vec<Participant<'a>>,
-        queued: bool,
     ) -> Result<()> {
         let t0 = obs.clock();
         // Every exit below must settle all participants — a bare `?` here
@@ -793,43 +786,29 @@ impl<'a> StoreTx<'a> {
         // participant whose pool died mid-commit holds a durable PREPARE
         // and nothing else, and resolution must still find the commit
         // decision to drive it forward.
+        //
+        // Queued prepare: the decision is durable, so the transaction can
+        // never roll back — each writer's shard lock is released *now*,
+        // before its END record lands. Group commits and reads slip in
+        // behind the released locks and interleave with the in-doubt window
+        // (shards stay `prepared` until the END below); the detached handles
+        // only touch per-transaction log state through the
+        // internally-synchronized transaction manager.
         let mut all_acked = true;
         let mut first_err = readers_released.err();
-        if queued {
-            // Queued prepare: the decision is durable, so the transaction
-            // can never roll back — each writer's shard lock is released
-            // *now*, before its END record lands. Group commits and reads
-            // slip in behind the released locks and interleave with the
-            // in-doubt window (shards stay `prepared` until the END below);
-            // the detached handles only touch per-transaction log state
-            // through the internally-synchronized transaction manager.
-            let handles: Vec<PreparedCommit> = writers
-                .into_iter()
-                .map(Participant::detach_for_commit)
-                .collect();
-            for h in &handles {
-                match h.commit_prepared() {
-                    Ok(acked) => {
-                        all_acked &= acked;
-                        obs.emit(EventKind::TwoPcCommitPart, gtid, h.shard_id() as u64, 0);
-                    }
-                    Err(e) => {
-                        all_acked = false;
-                        first_err.get_or_insert(e);
-                    }
+        let handles: Vec<PreparedCommit> = writers
+            .into_iter()
+            .map(Participant::detach_for_commit)
+            .collect();
+        for h in &handles {
+            match h.commit_prepared() {
+                Ok(acked) => {
+                    all_acked &= acked;
+                    obs.emit(EventKind::TwoPcCommitPart, gtid, h.shard_id() as u64, 0);
                 }
-            }
-        } else {
-            for p in &writers {
-                match p.commit_prepared() {
-                    Ok(acked) => {
-                        all_acked &= acked;
-                        obs.emit(EventKind::TwoPcCommitPart, gtid, p.shard_id() as u64, 0);
-                    }
-                    Err(e) => {
-                        all_acked = false;
-                        first_err.get_or_insert(e);
-                    }
+                Err(e) => {
+                    all_acked = false;
+                    first_err.get_or_insert(e);
                 }
             }
         }

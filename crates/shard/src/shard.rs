@@ -644,7 +644,7 @@ impl ShardCore {
 
     /// Applies the coordinator's decision to an in-doubt transaction.
     /// Returns whether a *commit* decision was durably acknowledged — the
-    /// same ack [`Participant::commit_prepared`] reports: if this shard's
+    /// same ack [`PreparedCommit::commit_prepared`] reports: if this shard's
     /// pool died mid-resolution the END record may be lost, and the
     /// coordinator must keep the decision entry for the next recovery
     /// instead of retiring it. Abort decisions need no ack (a transaction
@@ -756,16 +756,6 @@ impl Participant<'_> {
         self.inner.tm.commit(self.tx)
     }
 
-    /// Phase 2, commit direction. Returns whether the participant durably
-    /// *acknowledged* the commit: a pool that froze (died) along the way
-    /// may have dropped the END record, leaving the participant in doubt —
-    /// the coordinator must then keep the decision entry alive for
-    /// recovery-time resolution instead of retiring it.
-    pub(crate) fn commit_prepared(&self) -> Result<bool> {
-        self.inner.tm.commit_prepared(self.tx)?;
-        Ok(!self.pool.crash_injector().is_frozen())
-    }
-
     /// Queued prepare: releases the shard lock and returns an owned handle
     /// that can finish phase 2 without it.
     ///
@@ -837,8 +827,11 @@ impl PreparedCommit {
         self.shard_id
     }
 
-    /// Phase 2, commit direction, without the shard lock. Same ack contract
-    /// as [`Participant::commit_prepared`].
+    /// Phase 2, commit direction, without the shard lock. Returns whether
+    /// the participant durably *acknowledged* the commit: a pool that froze
+    /// (died) along the way may have dropped the END record, leaving the
+    /// participant in doubt — the coordinator must then keep the decision
+    /// entry alive for recovery-time resolution instead of retiring it.
     pub(crate) fn commit_prepared(&self) -> Result<bool> {
         self.tm.commit_prepared(self.tx)?;
         Ok(!self.pool.crash_injector().is_frozen())

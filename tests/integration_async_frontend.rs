@@ -10,10 +10,11 @@
 //!   dropping a handle never cancels the write it acknowledges;
 //! * dropping the store settles every outstanding handle (group backlog and
 //!   queued `submit_transact` jobs alike) instead of hanging it;
-//! * cross-shard 2PC with queued prepare (locks released once the commit
-//!   decision is durable, ENDs written lock-free) stays all-or-nothing at
-//!   every crash point of the release window, and an in-doubt participant
-//!   with a persisted decision is driven forward to commit.
+//! * cross-shard 2PC with queued prepare (early release: each writer's
+//!   shard lock is dropped once the commit decision is durable, ENDs
+//!   written lock-free) stays all-or-nothing at every crash point of the
+//!   release window, and an in-doubt participant with a persisted decision
+//!   is driven forward to commit.
 //!
 //! `REWIND_CRASH_SEED` (swept by the CI crash-stress jobs) perturbs the
 //! crash offsets so repeated runs walk different points.
@@ -380,12 +381,11 @@ fn one_key_per_shard(store: &ShardedStore) -> Vec<u64> {
 /// Persist events each pool sees during one cross-shard transaction,
 /// measured on an un-armed twin (same construction as the cross-shard
 /// matrix suite).
-fn transact_event_deltas(shards: usize, queued: bool) -> Vec<u64> {
+fn transact_event_deltas(shards: usize) -> Vec<u64> {
     let store = ShardedStore::create(
         ShardConfig::new(shards)
             .shard_capacity(8 << 20)
-            .rewind(force_cfg())
-            .queued_prepare(queued),
+            .rewind(force_cfg()),
     )
     .unwrap();
     let keys = one_key_per_shard(&store);
@@ -409,7 +409,7 @@ fn transact_event_deltas(shards: usize, queued: bool) -> Vec<u64> {
 }
 
 #[test]
-fn queued_prepare_crash_matrix_stays_atomic() {
+fn early_release_2pc_crash_matrix_stays_atomic() {
     // The queued-prepare release window: once the commit decision is
     // durable the coordinator drops every writer's shard lock and writes
     // the ENDs lock-free, so a crash can land with the locks already gone
@@ -419,7 +419,7 @@ fn queued_prepare_crash_matrix_stays_atomic() {
     // must appear across the matrix.
     let shards = 4;
     let seed = crash_seed();
-    let deltas = transact_event_deltas(shards, true);
+    let deltas = transact_event_deltas(shards);
     let mut seen_old = false;
     let mut seen_new = false;
     for (victim, delta) in deltas.iter().enumerate() {
@@ -430,8 +430,7 @@ fn queued_prepare_crash_matrix_stays_atomic() {
             let store = ShardedStore::create(
                 ShardConfig::new(shards)
                     .shard_capacity(8 << 20)
-                    .rewind(force_cfg())
-                    .queued_prepare(true),
+                    .rewind(force_cfg()),
             )
             .unwrap();
             let keys = one_key_per_shard(&store);
@@ -468,7 +467,7 @@ fn queued_prepare_crash_matrix_stays_atomic() {
 }
 
 #[test]
-fn queued_prepare_in_doubt_resolves_forward() {
+fn early_release_in_doubt_resolves_forward() {
     // Walk the crash point backwards from the end of the victim's window
     // until recovery reports an in-doubt transaction: with queued prepare
     // the locks were already released when the crash hit, but the commit
@@ -476,7 +475,7 @@ fn queued_prepare_in_doubt_resolves_forward() {
     // forward — all-new, never a rollback that would contradict the table.
     let shards = 2;
     let victim = 1;
-    let window = transact_event_deltas(shards, true)[victim];
+    let window = transact_event_deltas(shards)[victim];
     let mut crash_at = window;
     for _ in 0..80 {
         if crash_at == 0 {
@@ -485,8 +484,7 @@ fn queued_prepare_in_doubt_resolves_forward() {
         let store = ShardedStore::create(
             ShardConfig::new(shards)
                 .shard_capacity(8 << 20)
-                .rewind(force_cfg())
-                .queued_prepare(true),
+                .rewind(force_cfg()),
         )
         .unwrap();
         let keys = one_key_per_shard(&store);
@@ -522,7 +520,7 @@ fn queued_prepare_in_doubt_resolves_forward() {
 }
 
 #[test]
-fn async_puts_coexist_with_queued_prepare_2pc() {
+fn async_puts_coexist_with_early_release_2pc() {
     // Liveness and isolation under the released-lock interleaving: async
     // submitters hammer every shard while cross-shard transactions (queued
     // prepare on, the default) run concurrently. The test finishing is the

@@ -288,70 +288,154 @@ fn scan_caps_and_unknown_opcodes_over_the_wire() {
 /// connection at the write-buffer high-water mark (disarming `EPOLLIN` and
 /// leaving the rest of the requests buffered) and resumes decoding once the
 /// peer drains the backlog — so every response still arrives intact and in
-/// order, and the connection keeps working afterwards. The threaded backend
-/// gets the same behaviour from its blocking writes; both modes must pass.
+/// order, and the connection keeps working afterwards.
 #[test]
 fn slow_reader_gets_backpressure_not_unbounded_buffering() {
-    for mode in [ServerMode::ThreadPerConn, ServerMode::Auto] {
-        let store =
-            Arc::new(ShardedStore::create(ShardConfig::new(2).shard_capacity(8 << 20)).unwrap());
-        let server =
-            NetServer::start(Arc::clone(&store), ServerConfig::default().mode(mode)).unwrap();
-        let addr = server.local_addr();
+    let store =
+        Arc::new(ShardedStore::create(ShardConfig::new(2).shard_capacity(8 << 20)).unwrap());
+    let server = NetServer::start(Arc::clone(&store), ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
 
-        // Seed 512 keys so every scan response is ~20 KiB: 500 scans is
-        // ~10 MiB of responses — far past the reactor's 256 KiB high-water
-        // mark even after the kernel's socket buffers absorb what they can —
-        // against ~17 KiB of requests that fit in the server's rcvbuf while
-        // its reads are disarmed.
-        let mut seeder = NetClient::connect(addr).unwrap();
-        for k in 0..512u64 {
-            seeder.put(k, [k; 4]).unwrap();
-        }
-        drop(seeder);
-
-        const SCANS: u64 = 500;
-        let mut raw = TcpStream::connect(addr).unwrap();
-        let mut bytes = Vec::new();
-        for id in 0..SCANS {
-            bytes.extend_from_slice(&protocol::encode_request(
-                id,
-                &Request::Scan {
-                    low: 0,
-                    high: u64::MAX,
-                    limit: 4096,
-                },
-            ));
-        }
-        raw.write_all(&bytes).unwrap();
-        // Give the server time to decode up to the stall point while we
-        // deliberately read nothing.
-        std::thread::sleep(Duration::from_millis(150));
-
-        let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
-        for id in 0..SCANS {
-            let (rid, resp) = protocol::read_response(&mut reader)
-                .unwrap()
-                .expect("response stream ended before every scan was answered");
-            assert_eq!(rid, id, "responses out of order after stall/resume");
-            match resp {
-                Response::Entries(entries) => assert_eq!(entries.len(), 512),
-                other => panic!("scan {id} answered with {other:?}"),
-            }
-        }
-        if server.is_reactor() {
-            assert!(
-                store.obs().metrics().net_stalls.get() > 0,
-                "10 MiB of unread responses must have tripped the high-water stall"
-            );
-        }
-
-        // The connection must have fully recovered: reads re-armed, new
-        // requests still served on the same socket.
-        raw.write_all(&protocol::encode_request(SCANS, &Request::Get { key: 1 }))
-            .unwrap();
-        let (rid, resp) = protocol::read_response(&mut reader).unwrap().unwrap();
-        assert_eq!(rid, SCANS);
-        assert_eq!(resp, Response::Value(Some([1; 4])));
+    // Seed 512 keys so every scan response is ~20 KiB: 500 scans is
+    // ~10 MiB of responses — far past the reactor's 256 KiB high-water
+    // mark even after the kernel's socket buffers absorb what they can —
+    // against ~17 KiB of requests that fit in the server's rcvbuf while
+    // its reads are disarmed.
+    let mut seeder = NetClient::connect(addr).unwrap();
+    for k in 0..512u64 {
+        seeder.put(k, [k; 4]).unwrap();
     }
+    drop(seeder);
+
+    const SCANS: u64 = 500;
+    let mut raw = TcpStream::connect(addr).unwrap();
+    let mut bytes = Vec::new();
+    for id in 0..SCANS {
+        bytes.extend_from_slice(&protocol::encode_request(
+            id,
+            &Request::Scan {
+                low: 0,
+                high: u64::MAX,
+                limit: 4096,
+            },
+        ));
+    }
+    raw.write_all(&bytes).unwrap();
+    // Give the server time to decode up to the stall point while we
+    // deliberately read nothing.
+    std::thread::sleep(Duration::from_millis(150));
+
+    let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
+    for id in 0..SCANS {
+        let (rid, resp) = protocol::read_response(&mut reader)
+            .unwrap()
+            .expect("response stream ended before every scan was answered");
+        assert_eq!(rid, id, "responses out of order after stall/resume");
+        match resp {
+            Response::Entries(entries) => assert_eq!(entries.len(), 512),
+            other => panic!("scan {id} answered with {other:?}"),
+        }
+    }
+    assert!(
+        store.obs().metrics().net_stalls.get() > 0,
+        "10 MiB of unread responses must have tripped the high-water stall"
+    );
+
+    // The connection must have fully recovered: reads re-armed, new
+    // requests still served on the same socket.
+    raw.write_all(&protocol::encode_request(SCANS, &Request::Get { key: 1 }))
+        .unwrap();
+    let (rid, resp) = protocol::read_response(&mut reader).unwrap().unwrap();
+    assert_eq!(rid, SCANS);
+    assert_eq!(resp, Response::Value(Some([1; 4])));
+}
+
+/// Pipelines 20 mixed PUT/GET/DELETE/TRANSACT_KEYS requests on one raw
+/// socket and ends the stream right behind them — with a frame whose length
+/// word is 2 (shorter than any header) in the same write, or else with a
+/// half-close — then asserts the close rule: every one of the 20 requests
+/// is answered with the response its opcode calls for, then the server
+/// closes the connection and releases all of its state.
+fn pipeline_then_end_stream(bad_frame: bool) {
+    let (store, server) = serve_mem();
+    for k in 0..5u64 {
+        store.put(1000 + k, [k; 4]).unwrap();
+    }
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    let mut bytes = Vec::new();
+    let mut expected = Vec::new();
+    for i in 0..20u64 {
+        let req = match i % 4 {
+            0 => Request::Put {
+                key: i,
+                value: [i; 4],
+            },
+            1 => Request::Get { key: 1000 + i % 5 },
+            2 => Request::Delete { key: 1000 + i % 5 },
+            _ => Request::Transact {
+                ops: vec![KeyOp::Put(2000 + i, [i; 4]), KeyOp::Delete(3000 + i)],
+            },
+        };
+        expected.push(req.opcode());
+        bytes.extend_from_slice(&protocol::encode_request(i, &req));
+    }
+    if bad_frame {
+        bytes.extend_from_slice(&2u32.to_le_bytes());
+        bytes.extend_from_slice(&[0xEE, 0xEE]);
+    }
+    raw.write_all(&bytes).unwrap();
+    if !bad_frame {
+        raw.shutdown(std::net::Shutdown::Write).unwrap();
+    }
+
+    raw.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
+    let mut answered = [false; 20];
+    for _ in 0..20 {
+        let (id, resp) = protocol::read_response(&mut reader)
+            .unwrap()
+            .expect("connection closed before every request read was answered");
+        let op = expected[id as usize];
+        let ok = match resp {
+            Response::Done => op == protocol::opcode::PUT,
+            Response::Value(_) => op == protocol::opcode::GET,
+            Response::Deleted(_) => op == protocol::opcode::DELETE,
+            Response::Applied(2) => op == protocol::opcode::TRANSACT_KEYS,
+            _ => false,
+        };
+        assert!(ok, "request {id} (opcode {op}) answered with {resp:?}");
+        assert!(!answered[id as usize], "request {id} answered twice");
+        answered[id as usize] = true;
+    }
+    assert!(
+        protocol::read_response(&mut reader).unwrap().is_none(),
+        "the server must close the connection after the last answer"
+    );
+    for i in (0..20u64).step_by(4) {
+        assert_eq!(store.get(i).unwrap(), Some([i; 4]));
+    }
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while (server.open_connections() > 0 || server.tracked_conns() > 0)
+        && std::time::Instant::now() < deadline
+    {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(server.open_connections(), 0);
+    assert_eq!(server.tracked_conns(), 0);
+}
+
+/// A client that half-closes its socket right after pipelining still gets
+/// an answer to every request it sent — acks of writes that settle after
+/// the EOF included — and then a clean close.
+#[test]
+fn half_close_after_pipelining_answers_every_request() {
+    pipeline_then_end_stream(false);
+}
+
+/// A malformed frame (length word 2) right behind a pipeline ends the
+/// stream, but every well-formed request before it is still answered before
+/// the server closes the connection.
+#[test]
+fn bad_frame_after_pipelining_answers_every_request_before_it() {
+    pipeline_then_end_stream(true);
 }

@@ -1,13 +1,12 @@
 //! Connection-churn regression suite for the network layer.
 //!
-//! The PR-10 bugs this pins: the thread-per-connection server retained a
-//! socket clone and a join handle for every connection *ever accepted*, so
-//! churny workloads leaked fds and thread handles until the process hit a
-//! limit. These tests churn thousands of connections — sequentially,
-//! concurrently via [`run_churn`], and as a held population of 1000 real
-//! sockets — against **both** backends and assert every per-connection
-//! resource the server tracks returns to zero, the `net_connections` gauge
-//! included. The last test re-proves the wire durability contract under
+//! The leak class this pins: a server that keeps any per-connection state
+//! (a socket clone, a slab entry, a thread handle) for every connection
+//! *ever accepted* leaks fds until the process hits a limit. These tests
+//! churn thousands of connections — sequentially, concurrently via
+//! [`run_churn`], and as a held population of 1000 real sockets — and
+//! assert every per-connection resource the server tracks returns to zero,
+//! the `net_connections` gauge included, while the thread pool stays fixed. The last test re-proves the wire durability contract under
 //! churn: an ack received on a connection that has since closed still
 //! survives a dirty store teardown and reopen.
 
@@ -29,16 +28,10 @@ fn tmppath(name: &str) -> PathBuf {
     ))
 }
 
-/// Both backends when the reactor is compiled in, otherwise the threaded
-/// backend alone (Auto degrades to it, so the suite still runs twice).
-fn modes() -> [ServerMode; 2] {
-    [ServerMode::ThreadPerConn, ServerMode::Auto]
-}
-
-fn serve_mem(mode: ServerMode) -> (Arc<ShardedStore>, NetServer) {
+fn serve_mem() -> (Arc<ShardedStore>, NetServer) {
     let store =
         Arc::new(ShardedStore::create(ShardConfig::new(2).shard_capacity(8 << 20)).unwrap());
-    let server = NetServer::start(Arc::clone(&store), ServerConfig::default().mode(mode)).unwrap();
+    let server = NetServer::start(Arc::clone(&store), ServerConfig::default()).unwrap();
     (store, server)
 }
 
@@ -63,74 +56,54 @@ fn assert_drains_to_zero(store: &ShardedStore, server: &NetServer) {
 }
 
 /// Thousands of strictly sequential open→use→close cycles: every tracked
-/// resource must return to zero and thread tracking must stay bounded
-/// instead of growing with the number of connections ever accepted.
+/// resource must return to zero and the thread pool must not grow with the
+/// number of connections ever accepted.
 #[test]
 fn sequential_churn_releases_every_connection() {
-    for mode in modes() {
-        let (store, server) = serve_mem(mode);
-        let addr = server.local_addr();
-        const CONNS: u64 = 1500;
-        for i in 0..CONNS {
-            let mut c = NetClient::connect(addr).unwrap();
-            c.put(i % 64, [i, 0, 0, 0]).unwrap();
-            assert_eq!(c.get(i % 64).unwrap(), Some([i, 0, 0, 0]));
-        }
-        assert_drains_to_zero(&store, &server);
-        let threads = server.tracked_threads();
-        if server.is_reactor() {
-            assert_eq!(
-                threads,
-                ServerConfig::default().reactor_threads + 1,
-                "reactor thread pool must not scale with connections"
-            );
-        } else {
-            // Finished handles are reaped on accept; what remains is a small
-            // recently-finished tail, not one handle per connection ever.
-            assert!(
-                threads < 128,
-                "threaded backend retained {threads} handles after {CONNS} sequential conns"
-            );
-        }
+    let (store, server) = serve_mem();
+    let addr = server.local_addr();
+    const CONNS: u64 = 1500;
+    for i in 0..CONNS {
+        let mut c = NetClient::connect(addr).unwrap();
+        c.put(i % 64, [i, 0, 0, 0]).unwrap();
+        assert_eq!(c.get(i % 64).unwrap(), Some([i, 0, 0, 0]));
     }
+    assert_drains_to_zero(&store, &server);
+    assert_eq!(
+        server.tracked_threads(),
+        ServerConfig::default().reactor_threads + 1,
+        "reactor thread pool must not scale with connections"
+    );
 }
 
 /// Concurrent churn through the simulator's churn mode: overlapping
 /// connects, pipelined bursts, and closes from several threads at once.
 #[test]
 fn concurrent_churn_is_leak_free_and_reconciles() {
-    for mode in modes() {
-        let (store, server) = serve_mem(mode);
-        let cfg = ChurnConfig {
-            cycles: 150,
-            burst: 8,
-            threads: 8,
-            ..ChurnConfig::default()
-        };
-        let report = run_churn(server.local_addr(), &cfg).unwrap();
-        assert_eq!(report.connect_failures, 0, "connects failed under churn");
-        assert_eq!(report.opened, 150 * 8);
-        assert_eq!(
-            report.completed + report.busy + report.errors,
-            (150 * 8 * 8) as u64,
-            "every burst request must be accounted for"
-        );
-        assert_eq!(report.errors, 0);
-        assert!(report.cycle_latency.count == report.opened);
-        assert_drains_to_zero(&store, &server);
-    }
+    let (store, server) = serve_mem();
+    let cfg = ChurnConfig {
+        cycles: 150,
+        burst: 8,
+        threads: 8,
+        ..ChurnConfig::default()
+    };
+    let report = run_churn(server.local_addr(), &cfg).unwrap();
+    assert_eq!(report.connect_failures, 0, "connects failed under churn");
+    assert_eq!(report.opened, 150 * 8);
+    assert_eq!(
+        report.completed + report.busy + report.errors,
+        (150 * 8 * 8) as u64,
+        "every burst request must be accounted for"
+    );
+    assert_eq!(report.errors, 0);
+    assert!(report.cycle_latency.count == report.opened);
+    assert_drains_to_zero(&store, &server);
 }
 
-/// The tentpole claim: 1000 concurrently open real sockets served by a
-/// fixed thread pool. Skipped (trivially passing) when the reactor isn't
-/// compiled in, since thread-per-connection by design scales threads with
-/// connections.
+/// 1000 concurrently open real sockets served by a fixed thread pool.
 #[test]
 fn reactor_holds_1000_sockets_on_a_fixed_thread_pool() {
-    let (store, server) = serve_mem(ServerMode::Auto);
-    if !server.is_reactor() {
-        return;
-    }
+    let (store, server) = serve_mem();
     let addr = server.local_addr();
     let mut held = Vec::with_capacity(1000);
     for i in 0..1000u64 {
@@ -165,58 +138,55 @@ fn reactor_holds_1000_sockets_on_a_fixed_thread_pool() {
 
 /// Durability across churn: every write acked on a connection that closed
 /// long before the teardown must be present after a dirty drop of the store
-/// and a reopen from the pool files alone — in both server modes.
+/// and a reopen from the pool files alone.
 #[test]
 fn acked_churn_writes_survive_dirty_teardown_and_reopen() {
-    for mode in modes() {
-        let dir = tmppath("churn-teardown");
-        let cfg = ShardConfig::new(2).shard_capacity(8 << 20);
-        let acked = {
-            let store = Arc::new(ShardedStore::create_file(cfg, &dir).unwrap());
-            let mut server =
-                NetServer::start(Arc::clone(&store), ServerConfig::default().mode(mode)).unwrap();
-            let addr = server.local_addr();
-            let mut acked = Vec::new();
-            // 40 churned connections, 16 pipelined puts each; the socket
-            // closes only after every response arrived.
-            for cycle in 0u64..40 {
-                let p = PipelinedClient::connect(addr).unwrap();
-                let mut pending = Vec::new();
-                for i in 0..16u64 {
-                    let k = cycle * 16 + i;
-                    if let Ok(h) = p.submit(&Request::Put {
-                        key: k,
-                        value: [k, !k, k ^ 0xFF, k.rotate_left(9)],
-                    }) {
-                        pending.push((k, h));
-                    }
-                }
-                for (k, h) in pending {
-                    if let Ok(Response::Done) = h.wait() {
-                        acked.push(k);
-                    }
+    let dir = tmppath("churn-teardown");
+    let cfg = ShardConfig::new(2).shard_capacity(8 << 20);
+    let acked = {
+        let store = Arc::new(ShardedStore::create_file(cfg, &dir).unwrap());
+        let mut server = NetServer::start(Arc::clone(&store), ServerConfig::default()).unwrap();
+        let addr = server.local_addr();
+        let mut acked = Vec::new();
+        // 40 churned connections, 16 pipelined puts each; the socket
+        // closes only after every response arrived.
+        for cycle in 0u64..40 {
+            let p = PipelinedClient::connect(addr).unwrap();
+            let mut pending = Vec::new();
+            for i in 0..16u64 {
+                let k = cycle * 16 + i;
+                if let Ok(h) = p.submit(&Request::Put {
+                    key: k,
+                    value: [k, !k, k ^ 0xFF, k.rotate_left(9)],
+                }) {
+                    pending.push((k, h));
                 }
             }
-            server.shutdown();
-            drop(server);
-            // Dirty drop: no flush, no orderly close.
-            drop(store);
-            acked
-        };
-        assert!(
-            acked.len() > 500,
-            "churn cycles should have acked most writes (got {})",
-            acked.len()
-        );
-        let reopened = ShardedStore::open_file(cfg, &dir).unwrap();
-        for &k in &acked {
-            assert_eq!(
-                reopened.get(k).unwrap(),
-                Some([k, !k, k ^ 0xFF, k.rotate_left(9)]),
-                "acked key {k} lost across churn + teardown + reopen"
-            );
+            for (k, h) in pending {
+                if let Ok(Response::Done) = h.wait() {
+                    acked.push(k);
+                }
+            }
         }
-        drop(reopened);
-        std::fs::remove_dir_all(&dir).ok();
+        server.shutdown();
+        drop(server);
+        // Dirty drop: no flush, no orderly close.
+        drop(store);
+        acked
+    };
+    assert!(
+        acked.len() > 500,
+        "churn cycles should have acked most writes (got {})",
+        acked.len()
+    );
+    let reopened = ShardedStore::open_file(cfg, &dir).unwrap();
+    for &k in &acked {
+        assert_eq!(
+            reopened.get(k).unwrap(),
+            Some([k, !k, k ^ 0xFF, k.rotate_left(9)]),
+            "acked key {k} lost across churn + teardown + reopen"
+        );
     }
+    drop(reopened);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -458,7 +458,7 @@ fn checkpoints_behind_in_doubt_transactions_keep_every_write() {
     let total = 100 * accounts.len() as u64;
     let balance = |v: Option<Value>| v.map_or(0, |v| v[0]);
     let run = |crash_at: Option<u64>| -> (ShardedStore, Vec<u64>) {
-        let store = ShardedStore::create(checkpointing_cfg(16).queued_prepare(true)).unwrap();
+        let store = ShardedStore::create(checkpointing_cfg(16)).unwrap();
         for &a in &accounts {
             store.put(a, [100, a, 0, 0]).unwrap();
         }
